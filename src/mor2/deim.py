@@ -118,9 +118,13 @@ def reduced_nonlinear(factors, spec, Y, t):
 
     The state is lifted only at the p1 x p2 selected grid positions
     (Z = Sl Y Sr), the nonlinearity is evaluated entrywise there, and the
-    result is compressed by the precomputed factors:  Ml f(Z) Mr.
+    result is compressed by the precomputed factors:  Ml f(Z) Mr.  When the
+    factors are folded into complex eigen-coordinates, Z is real up to
+    rounding and its real part is evaluated.
     """
     Z = factors.Sl @ Y @ factors.Sr
+    if np.iscomplexobj(Z):
+        Z = Z.real
     Fz = problems.eval_nonlinear_at(spec, Z, factors.row_idx, factors.col_idx, t)
     return factors.Ml @ Fz @ factors.Mr
 

@@ -7,20 +7,20 @@ Two first-order schemes are provided for  Udot = A U + U B + F(U, t):
 * exponential Euler ("etd"): exact on the linear part, with the frozen
   nonlinearity propagated through the phi1 kernel.
 
-Both reuse one eigendecomposition of A and one of B for the whole run, so
-a step costs four dense multiplications plus a Hadamard correction.  When
-an eigenvector basis is too ill conditioned the schemes fall back to
-Schur/Pade routines step by step.
+Both step through one kernels.Propagator built for the run: the state is
+kept in eigen-coordinates of A and B, so a step costs four dense
+multiplications (F mapped in, the state mapped out) plus a Hadamard update.
+B = A and B = A^T reuse A's eigendecomposition.  When an eigenvector basis
+is too ill conditioned the coordinates are real Schur bases instead.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels, problems
-from .errors import ConditioningError, DimensionError, DivergenceError, SingularityError
+from .errors import DimensionError, DivergenceError
 
 
 @dataclass(frozen=True)
@@ -86,103 +86,46 @@ class AnalyticSource:
         return problems.sample_analytic(self.fn, self.times[i])
 
 
-class _Stepper:
-    """Shared stepping core holding the spectral data of A and B."""
+def _march(spec, times, scheme, h=None, f_at_last=False):
+    """Step through the time nodes, yielding (index, time, state, F at the state).
 
-    def __init__(self, spec, scheme):
-        if scheme not in ("imex", "etd"):
-            raise DimensionError(f"unknown scheme {scheme!r}")
-        self.spec = spec
-        self.scheme = scheme
-        self.fallback = False
-        try:
-            self.eigA = kernels.eig_pair(spec.A)
-            self.eigB = kernels.eig_pair(spec.B)
-        except ConditioningError:
-            self.fallback = True
-            self._expm_cache = {}
-
-    def _expm_pair(self, h):
-        key = float(h)
-        if key not in self._expm_cache:
-            self._expm_cache[key] = (
-                scipy.linalg.expm(h * self.spec.A),
-                scipy.linalg.expm(h * self.spec.B),
-            )
-        return self._expm_cache[key]
-
-    def step(self, U, t, h):
-        F = problems.eval_nonlinear(self.spec, U, t)
-        if self.scheme == "imex":
-            rhs = U + h * F
-            if self.fallback:
-                n, m = U.shape
-                return scipy.linalg.solve_sylvester(
-                    np.eye(n) - h * self.spec.A, -h * self.spec.B, rhs
-                )
-            denom = 1.0 - h * (
-                self.eigA.values[:, None] + self.eigB.values[None, :]
-            )
-            if np.min(np.abs(denom)) < 1e-14:
-                raise SingularityError("implicit Euler operator is singular at this step size")
-            out = self.eigA.vectors @ (
-                (self.eigA.inverse @ rhs @ self.eigB.vectors) / denom
-            ) @ self.eigB.inverse
-            return out.real if np.iscomplexobj(out) else out
-        if self.fallback:
-            Ea, Eb = self._expm_pair(h)
-            rhs = Ea @ F @ Eb - F
-            try:
-                Phi = scipy.linalg.solve_sylvester(self.spec.A, self.spec.B, rhs)
-            except Exception as exc:
-                raise SingularityError(
-                    "exponential Euler fallback hit a singular Sylvester operator"
-                ) from exc
-            return Ea @ U @ Eb + Phi
-        return kernels.etd_euler_update(self.eigA, self.eigB, U, F, h)
-
-
-def imex_euler_step(spec, U, t, h):
-    """One semi-implicit Euler step: solve (I - hA) X + X (-hB) = U + h F(U, t)."""
-    F = problems.eval_nonlinear(spec, U, t)
-    n = spec.A.shape[0]
-    return kernels.solve_sylvester(np.eye(n) - h * spec.A, -h * spec.B, U + h * F)
-
-
-def exp_euler_step(spec, eigA, eigB, U, t, h):
-    """One exponential Euler step using precomputed eigendecompositions.
-
-    Returns exp(hA) U exp(hB) + Phi, where Phi solves
-    A Phi + Phi B = exp(hA) F exp(hB) - F; in the eigenbases this is the
-    Hadamard quotient (e^{h la_i} e^{h lb_j} - 1)/(la_i + lb_j) applied to F,
-    i.e. h * phi1 of the eigenvalue sums, finite also when sums vanish.
+    One Propagator serves the whole run; steps use h when given, else the
+    node spacing.  F is evaluated once per node, for the step that leaves
+    it, and at the last node only when f_at_last asks for it (None there
+    otherwise).  The state is one matrix overwritten by every step, so a
+    step allocates only F, in the memory the previous F leaves.
     """
-    F = problems.eval_nonlinear(spec, U, t)
-    return kernels.etd_euler_update(eigA, eigB, U, F, h)
-
-
-def _integrate(spec, times, scheme, capture_mask, store_mask):
-    """March through the given time nodes, recording what the masks ask for."""
-    stepper = _Stepper(spec, scheme)
-    U = spec.U0.copy()
-    stored_t, stored = [], []
-    cap_t, cap_state, cap_nonl = [], [], []
-
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    U = np.array(spec.U0, dtype=float)
+    Uhat = prop.to_coords(U)
+    last = len(times) - 1
     for i, t in enumerate(times):
         if i > 0:
-            h = times[i] - times[i - 1]
-            U = stepper.step(U, times[i - 1], h)
+            step = h if h is not None else t - times[i - 1]
+            Uhat, U = kernels.etd_euler_update(prop, Uhat, F, step, out=U)
+            F = None  # released before the next F is allocated
             if not np.all(np.isfinite(U)):
                 raise DivergenceError(
                     f"non-finite state after step {i} (t = {t:.6g})", step=i
                 )
+        F = problems.eval_nonlinear(spec, U, t) if i < last or f_at_last else None
+        yield i, t, U, F
+
+
+def _integrate(spec, times, scheme, capture_mask, store_mask, h=None):
+    """March through the given time nodes, recording what the masks ask for."""
+    stored_t, stored = [], []
+    cap_t, cap_state, cap_nonl = [], [], []
+    for i, t, U, F in _march(spec, times, scheme, h, f_at_last=capture_mask[-1]):
+        if store_mask[i] or capture_mask[i]:
+            U = U.copy()
         if store_mask[i]:
             stored_t.append(t)
-            stored.append(U.copy())
+            stored.append(U)
         if capture_mask[i]:
             cap_t.append(t)
-            cap_state.append(U.copy())
-            cap_nonl.append(problems.eval_nonlinear(spec, U, t))
+            cap_state.append(U)
+            cap_nonl.append(F)
 
     traj = FullTrajectory(np.array(stored_t), stored, scheme)
     state = SnapshotStream("state", np.array(cap_t), cap_state)
@@ -216,7 +159,7 @@ def run_full(spec, grid, scheme="imex", capture=None, store_stride=None):
             if abs(nodes[j] - t) > 1e-9 * max(grid.h, 1e-300):
                 raise DimensionError(f"capture time {t} is not a grid node")
             capture_mask[j] = True
-    return _integrate(spec, nodes, scheme, capture_mask, store_mask)
+    return _integrate(spec, nodes, scheme, capture_mask, store_mask, grid.h)
 
 
 def iter_full(spec, grid, scheme="imex"):
@@ -224,18 +167,11 @@ def iter_full(spec, grid, scheme="imex"):
 
     Memory stays at one state matrix regardless of grid length, which is
     what large reference solves need when only running error sums are kept.
+    The yielded state is overwritten by the next step; copy it to keep it.
     """
-    stepper = _Stepper(spec, scheme)
-    nodes = grid.nodes
-    U = spec.U0.copy()
-    yield 0, nodes[0], U
-    for i in range(1, len(nodes)):
-        U = stepper.step(U, nodes[i - 1], nodes[i] - nodes[i - 1])
-        if not np.all(np.isfinite(U)):
-            raise DivergenceError(
-                f"non-finite state after step {i} (t = {nodes[i]:.6g})", step=i
-            )
-        yield i, nodes[i], U
+    for i, t, U, F in _march(spec, grid.nodes, scheme, grid.h):
+        del F  # the next F then reuses its memory
+        yield i, t, U
 
 
 def trajectory_source(spec, times, scheme="imex"):

@@ -3,7 +3,7 @@
 Thin, contract-checked wrappers around LAPACK-backed numpy/scipy routines,
 plus the few pieces that need behavior the libraries do not pin down:
 deterministic column-pivoted QR (explicit lowest-index tie break) and the
-phi1-based exponential update shared by the full and reduced integrators.
+Propagator, the first-order stepper shared by the full and reduced models.
 """
 
 from dataclasses import dataclass
@@ -253,27 +253,134 @@ def phi1(z):
     return out
 
 
-def etd_euler_update(Aeig, Beig, U, F, h):
-    """One exponential Euler update for Udot = A U + U B + F at frozen F.
+class Propagator:
+    """First-order stepper for  U' = A U + U B + F  at frozen F, for one pair (A, B).
 
-    Returns exp(hA) U exp(hB) + h * phi1 increment, evaluated entirely in
-    the eigenbases of A and B:
+    scheme "etd" is exponential Euler (exact on the linear part, F through
+    phi1); "imex" is semi-implicit Euler, (I - hA) U+ - h U+ B = U + h F.
+    The state is carried in the coordinates Uhat = Qa^-1 U Qb of eigenbases
+    of A and B, where both schemes are the Hadamard update
+    Uhat+ = E .* Uhat + P .* Fhat  with
 
-        Uhat = Qa^-1 U Qb,  Fhat = Qa^-1 F Qb,
-        out  = Qa [ (ea eb^T) .* Uhat + (h phi1(h (la_i + lb_j))) .* Fhat ] Qb^-1
+        etd:   E = e^{h la} (e^{h lb})^T,      P = h phi1(h (la_i + lb_j)),
+        imex:  E = 1 / (1 - h (la_i + lb_j)),  P = h E.
 
-    The Hadamard quotient (e^{h la} e^{h lb} - 1)/(la + lb) that solves the
-    step's Sylvester equation is exactly h*phi1 of the eigenvalue sums, so
-    near-cancelling sums stay finite.
+    h phi1 of the eigenvalue sums is the quotient (e^{h (la_i + lb_j)} - 1) /
+    (la_i + lb_j) that solves the step's Sylvester equation, finite also
+    where the sums vanish.  B = A reuses A's eigenbasis; B = A^T takes
+    (Qa^-1)^T and Qa^T as transposed views.  When an eigenbasis is too ill
+    conditioned the coordinates are the real Schur bases of A and B instead,
+    and a step solves one quasi-triangular Sylvester equation.  The step
+    factors are kept for the latest h only.
     """
-    Uhat = Aeig.inverse @ U @ Beig.vectors
-    Fhat = Aeig.inverse @ F @ Beig.vectors
-    ea = np.exp(h * Aeig.values)
-    eb = np.exp(h * Beig.values)
-    zsum = Aeig.values[:, None] + Beig.values[None, :]
-    out = Aeig.vectors @ (
-        (ea[:, None] * Uhat) * eb[None, :] + (h * phi1(h * zsum)) * Fhat
-    ) @ Beig.inverse
-    if np.isrealobj(U) and np.isrealobj(F):
+
+    def __init__(self, A, B, scheme="etd"):
+        if scheme not in ("imex", "etd"):
+            raise DimensionError(f"unknown scheme {scheme!r}")
+        A = np.asarray(A, dtype=float)
+        B = np.asarray(B, dtype=float)
+        self.scheme = scheme
+        self.fallback = False
+        try:
+            eigA = eig_pair(A)
+            if np.array_equal(B, A):
+                eigB = eigA
+            elif np.array_equal(B, A.T):
+                eigB = EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T, eigA.symmetric)
+            else:
+                eigB = eig_pair(B)
+            self.Qa, self.Qa_inv, self.la = eigA.vectors, eigA.inverse, eigA.values
+            self.Qb, self.Qb_inv, self.lb = eigB.vectors, eigB.inverse, eigB.values
+        except ConditioningError:
+            self.fallback = True
+            self.Ta, self.Qa = scipy.linalg.schur(A, output="real")
+            self.Tb, self.Qb = scipy.linalg.schur(B, output="real")
+            self.Qa_inv, self.Qb_inv = self.Qa.T, self.Qb.T
+            self.la, self.lb = np.linalg.eigvals(self.Ta), np.linalg.eigvals(self.Tb)
+        self.separation = float(np.min(np.abs(self.la[:, None] + self.lb[None, :])))
+        scale = np.linalg.norm(A) + np.linalg.norm(B)
+        if self.fallback and scheme == "etd" and self.separation < OVERLAP_TOL * max(scale, 1e-300):
+            raise SingularityError("spectra of A and -B overlap and no stable eigenbasis exists")
+        self._h = None
+        self._work = None
+
+    def to_coords(self, U):
+        """Qa^-1 U Qb."""
+        return self.Qa_inv @ U @ self.Qb
+
+    def to_physical(self, Uhat):
+        """Qa Uhat Qb^-1, real; Uhat may be a stack of coordinate matrices."""
+        out = self.Qa @ Uhat @ self.Qb_inv
         return out.real if np.iscomplexobj(out) else out
-    return out
+
+    def work(self, like):
+        """Two scratch matrices shaped and typed like `like`, kept for reuse."""
+        if self._work is None or self._work[0].shape != like.shape or self._work[0].dtype != like.dtype:
+            self._work = (np.empty_like(like), np.empty_like(like))
+        return self._work
+
+    def advance(self, Uhat, Fhat, h):
+        """One step of the coordinates Uhat at frozen Fhat (also in coordinates).
+
+        In eigen-coordinates Uhat is updated in place and Fhat overwritten;
+        in Schur coordinates the step is a new matrix.  Returns the new Uhat.
+        """
+        if h != self._h:
+            self._E, self._P = self._step_factors(h)
+            self._h = h
+        E, P = self._E, self._P
+        if not self.fallback:
+            Uhat *= E
+            Fhat *= P
+            Uhat += Fhat
+            return Uhat
+        # Schur coordinates: E and P are the left and right step factors,
+        # exp(hTa) and exp(hTb) for etd, I - hTa and -hTb for imex.
+        if self.scheme == "imex":
+            return _schur_sylvester(E, P, Uhat + h * Fhat)
+        return E @ Uhat @ P + _schur_sylvester(self.Ta, self.Tb, E @ Fhat @ P - Fhat)
+
+    def _step_factors(self, h):
+        z = h * (self.la[:, None] + self.lb[None, :])
+        if self.scheme == "imex" and np.min(np.abs(1.0 - z)) < 1e-14:
+            raise SingularityError("implicit Euler operator is singular at this step size")
+        if self.fallback and self.scheme == "etd":
+            return scipy.linalg.expm(h * self.Ta), scipy.linalg.expm(h * self.Tb)
+        if self.fallback:
+            return np.eye(len(self.Ta)) - h * self.Ta, -h * self.Tb
+        if self.scheme == "etd":
+            return np.exp(h * self.la)[:, None] * np.exp(h * self.lb)[None, :], h * phi1(z)
+        E = 1.0 / (1.0 - z)
+        return E, h * E
+
+
+def _schur_sylvester(T, S, C):
+    """Solve T X + X S = C for T, S in real Schur form (LAPACK trsyl)."""
+    X, scale, info = scipy.linalg.lapack.dtrsyl(T, S, C)
+    if info < 0:
+        raise InputError(f"trsyl rejected argument {-info}")
+    return X / scale
+
+
+def etd_euler_update(prop, Uhat, F, h, out=None):
+    """One full-order step of the propagator prop from coordinates Uhat.
+
+    F is the nonlinearity at the current state, in physical coordinates.
+    Four n x n products: Fhat = Qa^-1 F Qb, the Hadamard update of prop, and
+    the new state U = Qa Uhat Qb^-1, written into out when given (a real
+    matrix; it may be the state F was evaluated at).  Uhat is advanced in
+    place and the intermediates go to prop's scratch matrices, so with out a
+    step allocates nothing.  Returns (Uhat, U).
+    """
+    tmp, Fhat = prop.work(Uhat)
+    np.matmul(prop.Qa_inv, F, out=tmp)
+    np.matmul(tmp, prop.Qb, out=Fhat)
+    Uhat = prop.advance(Uhat, Fhat, h)
+    np.matmul(prop.Qa, Uhat, out=tmp)
+    if not np.iscomplexobj(tmp):
+        return Uhat, np.matmul(tmp, prop.Qb_inv, out=out)
+    np.matmul(tmp, prop.Qb_inv, out=Fhat)
+    if out is None:
+        return Uhat, Fhat.real.copy()
+    np.copyto(out, Fhat.real)
+    return Uhat, out

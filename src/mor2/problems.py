@@ -120,7 +120,12 @@ def _cubic_double_well(eps2):
     inv = 1.0 / eps2**2
 
     def f(U, X, Y, t):
-        return -(U**3 - U) * inv
+        # (U - U^3) / eps2^2 built in its result array, without temporaries.
+        out = U * U
+        out *= U
+        np.subtract(U, out, out=out)
+        out *= inv
+        return out
 
     return f
 

@@ -2,9 +2,10 @@
 
 The reduced state solves  Ydot = Ak Y + Y Bk + Fk(Y, t)  with
 Ak = Vl^T A Vl, Bk = Wr^T B Wr and the sampled nonlinearity from the
-interpolation factors.  Online stepping uses the same exponential Euler
-update as the full solver, in the (tiny) eigenbases of Ak and Bk, so the
-per-step cost depends on the reduced dimensions only.
+interpolation factors.  Online stepping uses the full solver's
+kernels.Propagator, built on Ak and Bk, with its eigenbases folded into the
+interpolation factors: a step is four small products, the sampled F and two
+Hadamard products, so its cost depends on the reduced dimensions only.
 """
 
 import csv
@@ -15,37 +16,23 @@ import numpy as np
 import scipy.linalg
 
 from . import deim, kernels, problems
-from .errors import ConditioningError, DimensionError, DivergenceError, SingularityError
+from .errors import DimensionError, DivergenceError
 
 BLOWUP_NORM = 1e12
 
 
 @dataclass
 class ReducedModel:
-    """Projected operators plus everything needed to step and lift."""
+    """Projected operators plus everything needed to step and lift; factors
+    are folded into the coordinates of the propagator."""
 
     Ak: np.ndarray
     Bk: np.ndarray
     Y0: np.ndarray
-    eigAk: object
-    eigBk: object
+    propagator: kernels.Propagator
     factors: deim.RomDeimFactors
     ubasis: object
     spec: problems.ProblemSpec
-    fallback: bool = False
-    spectral_separation: float = np.inf
-
-    def __post_init__(self):
-        self._expm_cache = {}
-
-    def expm_pair(self, h):
-        key = float(h)
-        if key not in self._expm_cache:
-            self._expm_cache[key] = (
-                scipy.linalg.expm(h * self.Ak),
-                scipy.linalg.expm(h * self.Bk),
-            )
-        return self._expm_cache[key]
 
 
 def assemble_rom(spec, ubasis, factors):
@@ -53,10 +40,12 @@ def assemble_rom(spec, ubasis, factors):
 
     Symmetry of A or B survives the congruence, so those eigenproblems stay
     symmetric; otherwise a general eigendecomposition is attempted and an
-    ill-conditioned eigenbasis flips the model to a per-step Schur fallback.
-    The fallback requires the spectra of Ak and -Bk to stay apart; the
+    ill-conditioned eigenbasis flips the propagator to Schur coordinates.
+    That fallback requires the spectra of Ak and -Bk to stay apart; the
     eigenbasis route needs no such separation because the near-cancelling
-    directions go through the phi1 limit.
+    directions go through the phi1 limit.  The eigenbases are folded into
+    the interpolation factors, Sl Qa, Qb^-1 Sr, Qa^-1 Ml and Mr Qb, so the
+    sampled nonlinearity comes out in the propagator's coordinates.
     """
     Ak = ubasis.Vl.T @ spec.A @ ubasis.Vl
     Bk = ubasis.Wr.T @ spec.B @ ubasis.Wr
@@ -65,35 +54,20 @@ def assemble_rom(spec, ubasis, factors):
     if kernels.is_symmetric(spec.B):
         Bk = 0.5 * (Bk + Bk.T)
     Y0 = ubasis.Vl.T @ spec.U0 @ ubasis.Wr
-
-    fallback = False
-    try:
-        eigAk = kernels.eig_pair(Ak)
-        eigBk = kernels.eig_pair(Bk)
-    except ConditioningError:
-        eigAk = eigBk = None
-        fallback = True
-
-    la = np.linalg.eigvals(Ak)
-    lb = np.linalg.eigvals(Bk)
-    sep = float(np.min(np.abs(la[:, None] + lb[None, :])))
-    if fallback and sep < 1e-12 * (np.linalg.norm(Ak) + np.linalg.norm(Bk)):
-        raise SingularityError(
-            "reduced spectra of Ak and -Bk overlap and no stable eigenbasis exists"
-        )
-    return ReducedModel(Ak, Bk, Y0, eigAk, eigBk, factors, ubasis, spec,
-                        fallback=fallback, spectral_separation=sep)
+    prop = kernels.Propagator(Ak, Bk, "etd")
+    folded = deim.RomDeimFactors(
+        prop.Qa_inv @ factors.Ml, factors.Mr @ prop.Qb,
+        factors.Sl @ prop.Qa, prop.Qb_inv @ factors.Sr,
+        factors.row_idx, factors.col_idx,
+    )
+    return ReducedModel(Ak, Bk, Y0, prop, folded, ubasis, spec)
 
 
-def etd_step(model, Y, t, h):
-    """One exponential Euler step of the reduced model."""
-    f = deim.reduced_nonlinear(model.factors, model.spec, Y, t)
-    if not model.fallback:
-        return kernels.etd_euler_update(model.eigAk, model.eigBk, Y, f, h)
-    Ea, Eb = model.expm_pair(h)
-    rhs = Ea @ f @ Eb - f
-    Phi = scipy.linalg.solve_sylvester(model.Ak, model.Bk, rhs)
-    return Ea @ Y @ Eb + Phi
+def etd_step(model, Yhat, t, h):
+    """One exponential Euler step of the reduced model, in the coordinates
+    of model.propagator."""
+    fhat = deim.reduced_nonlinear(model.factors, model.spec, Yhat, t)
+    return model.propagator.advance(Yhat, fhat, h)
 
 
 @dataclass
@@ -106,20 +80,32 @@ class RomTrajectory:
 
 
 def run_online(model, grid, blowup_norm=BLOWUP_NORM):
-    """March the reduced model over the grid, storing every node."""
+    """March the reduced model over the grid, storing every node.
+
+    Steps run in the propagator's coordinates; the stored states are mapped
+    back to the basis coordinates with one batched product at the end.
+    """
+    prop = model.propagator
     nodes = grid.nodes
-    Y = model.Y0.copy()
-    states = [Y.copy()]
     tic = time.perf_counter()
+    gain = np.linalg.norm(prop.Qa, 2) * np.linalg.norm(prop.Qb_inv, 2)
+    Yhat = prop.to_coords(model.Y0)
+    coords = np.empty((len(nodes),) + Yhat.shape, dtype=Yhat.dtype)
+    coords[0] = Yhat
     for i in range(1, len(nodes)):
-        Y = etd_step(model, Y, nodes[i - 1], grid.h)
-        nrm = np.linalg.norm(Y)
-        if not np.isfinite(nrm) or nrm > blowup_norm:
-            raise DivergenceError(
-                f"reduced state blew up at step {i} (||Y||_F = {nrm:.3e})", step=i
-            )
-        states.append(Y.copy())
-    return RomTrajectory(nodes.copy(), states, time.perf_counter() - tic)
+        Yhat = etd_step(model, Yhat, nodes[i - 1], grid.h)
+        # ||Y||_F <= gain ||Yhat||_F, so Y is formed only near the limit;
+        # "not <=" also catches NaN.
+        if not np.linalg.norm(Yhat) * gain <= blowup_norm:
+            nrm = np.linalg.norm(prop.to_physical(Yhat))
+            if not nrm <= blowup_norm:
+                raise DivergenceError(
+                    f"reduced state blew up at step {i} (||Y||_F = {nrm:.3e})", step=i
+                )
+        coords[i] = Yhat
+    states = prop.to_physical(coords)
+    states[0] = model.Y0
+    return RomTrajectory(nodes.copy(), list(states), time.perf_counter() - tic)
 
 
 def lift(ubasis, Y):
@@ -184,7 +170,7 @@ class VectorReducedModel:
     """Reduced model of the column-stacked system  udot = L u + f(u, t)."""
 
     Lk: np.ndarray
-    eigLk: object
+    propagator: kernels.Propagator   # of (Lk, 0): the vector system as one column
     y0: np.ndarray
     Mf: np.ndarray           # (k, p) nonlinearity compression
     Srows: np.ndarray        # (p, k) sampled rows of the state basis
@@ -202,12 +188,11 @@ def assemble_vector_rom(spec, vbasis, vdeim_op):
     V3 = V.reshape(n, m, k, order="F")
     W3 = np.einsum("ij,jlk->ilk", spec.A, V3) + np.einsum("ilk,lj->ijk", V3, spec.B)
     Lk = V.T @ W3.reshape(n * m, k, order="F")
-    eigLk = kernels.eig_pair(Lk)
     y0 = V.T @ spec.U0.ravel(order="F")
     Mf = scipy.linalg.lu_solve(vdeim_op.lu, (V.T @ vdeim_op.basis).T, trans=1).T
     Srows = V[vdeim_op.idx, :]
     return VectorReducedModel(
-        Lk, eigLk, y0, Mf, Srows, vdeim_op.row_coords, vdeim_op.col_coords, V, spec
+        Lk, kernels.Propagator(Lk, np.zeros((1, 1))), y0, Mf, Srows, vdeim_op.row_coords, vdeim_op.col_coords, V, spec
     )
 
 
@@ -216,28 +201,21 @@ def run_online_vector(model, grid, blowup_norm=BLOWUP_NORM):
     spec = model.spec
     xs = spec.grid_x[model.row_coords]
     ys = spec.grid_y[model.col_coords]
-    e = model.eigLk
-    expv = np.exp(grid.h * e.values)
-    phiv = grid.h * kernels.phi1(grid.h * e.values)
+    prop = model.propagator
     y = model.y0.copy()
-    states = [y.copy()]
+    yhat = prop.to_coords(y[:, None])
+    states = [y]
     tic = time.perf_counter()
     for i in range(1, grid.n_t + 1):
-        t = grid.nodes[i - 1]
-        z = model.Srows @ y
-        fz = spec.nonlinear(z, xs, ys, t)
-        fk = model.Mf @ fz
-        yhat = e.inverse @ y
-        fhat = e.inverse @ fk
-        y = e.vectors @ (expv * yhat + phiv * fhat)
-        if np.iscomplexobj(y):
-            y = y.real
+        fk = model.Mf @ spec.nonlinear(model.Srows @ y, xs, ys, grid.nodes[i - 1])
+        yhat, Y = kernels.etd_euler_update(prop, yhat, fk[:, None], grid.h)
+        y = Y[:, 0]
         nrm = np.linalg.norm(y)
         if not np.isfinite(nrm) or nrm > blowup_norm:
             raise DivergenceError(
                 f"reduced vector state blew up at step {i} (||y|| = {nrm:.3e})", step=i
             )
-        states.append(y.copy())
+        states.append(y)
     return RomTrajectory(grid.nodes.copy(), states, time.perf_counter() - tic)
 
 

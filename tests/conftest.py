@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mor2 import deim, fullsolve, pod, problems
+from mor2 import deim, fullsolve, kernels, pod, problems, rom
 
 
 def offline_pipeline(spec, n_max, kappa, tau, tol=None, detect_symmetry=False):
@@ -51,8 +51,6 @@ def identity_pair(n, m):
 
 def identity_model(spec):
     """Assemble the reduced model that reproduces the full problem exactly."""
-    from mor2 import deim, rom
-
     n, m = spec.U0.shape
     ubasis = identity_pair(n, m)
     fbasis = identity_pair(n, m)
@@ -86,3 +84,16 @@ def stable_pair(rng, n, m, symmetric=True):
     A -= (np.linalg.norm(A, 2) + 0.5) * np.eye(n)
     B -= (np.linalg.norm(B, 2) + 0.5) * np.eye(m)
     return A, B
+
+
+def full_step(spec, U, t, h, scheme):
+    """One full-order step through a Propagator, from and to physical coordinates."""
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    F = problems.eval_nonlinear(spec, U, t)
+    return kernels.etd_euler_update(prop, prop.to_coords(U), F, h)[1]
+
+
+def reduced_step(model, Y, t, h):
+    """One reduced step from basis coordinates Y, returned in basis coordinates."""
+    prop = model.propagator
+    return prop.to_physical(rom.etd_step(model, prop.to_coords(Y), t, h))

@@ -152,6 +152,68 @@ def vectorized_imex_step(A, B, U, F, h):
     return out.reshape(U.shape, order="F")
 
 
+def legacy_etd_update(eigA, eigB, U, F, h):
+    """The exponential Euler update as formerly written in the library: both
+    transforms every step (six products), exp and phi1 recomputed each time.
+
+    eigA and eigB are EigenPair-like (values, vectors, inverse).
+    """
+    Uhat = eigA.inverse @ U @ eigB.vectors
+    Fhat = eigA.inverse @ F @ eigB.vectors
+    ea = np.exp(h * eigA.values)
+    eb = np.exp(h * eigB.values)
+    z = h * (eigA.values[:, None] + eigB.values[None, :])
+    nz = z != 0.0
+    phi = np.ones_like(z)
+    phi[nz] = np.expm1(z[nz]) / z[nz]
+    out = eigA.vectors @ ((ea[:, None] * Uhat) * eb[None, :] + h * phi * Fhat) @ eigB.inverse
+    return out.real if np.iscomplexobj(out) else out
+
+
+def legacy_imex_update(eigA, eigB, U, F, h):
+    """The semi-implicit Euler update as formerly written in the library."""
+    denom = 1.0 - h * (eigA.values[:, None] + eigB.values[None, :])
+    out = eigA.vectors @ ((eigA.inverse @ (U + h * F) @ eigB.vectors) / denom) @ eigB.inverse
+    return out.real if np.iscomplexobj(out) else out
+
+
+def legacy_full_trajectory(spec, eigA, eigB, h, n_t, scheme="etd"):
+    """States of the full model at n_t uniform steps, one legacy update per step.
+
+    Stops early, returning what it has, at the first non-finite state.
+    """
+    update = legacy_etd_update if scheme == "etd" else legacy_imex_update
+    X, Y = spec.grid_x[:, None], spec.grid_y[None, :]
+    states = [spec.U0.copy()]
+    for i in range(n_t):
+        U = states[-1]
+        states.append(update(eigA, eigB, U, spec.nonlinear(U, X, Y, i * h), h))
+        if not np.all(np.isfinite(states[-1])):
+            break
+    return states
+
+
+def legacy_reduced_trajectory(Ak, Bk, Y0, factors, spec, eigA, eigB, h, n_t,
+                              blowup_norm=1e12):
+    """States of a reduced model, stepped in basis coordinates with the
+    legacy update; factors are the unfolded (Ml, Mr, Sl, Sr, rows, cols).
+
+    Stops early, returning what it has, at the first state whose Frobenius
+    norm is non-finite or above blowup_norm.
+    """
+    X = spec.grid_x[np.asarray(factors.row_idx)][:, None]
+    Yc = spec.grid_y[np.asarray(factors.col_idx)][None, :]
+    states = [Y0.copy()]
+    for i in range(n_t):
+        Y = states[-1]
+        f = factors.Ml @ spec.nonlinear(factors.Sl @ Y @ factors.Sr, X, Yc, i * h) @ factors.Mr
+        states.append(legacy_etd_update(eigA, eigB, Y, f, h))
+        nrm = np.linalg.norm(states[-1])
+        if not np.isfinite(nrm) or nrm > blowup_norm:
+            break
+    return states
+
+
 def top_kappa_multiset(snapshots, kappa):
     """Brute-force union of per-snapshot top-kappa singular values, top kappa."""
     pool = []

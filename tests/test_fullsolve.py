@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import make_spec, stable_pair
+from conftest import full_step, make_spec, stable_pair
 from mor2 import fullsolve, kernels, problems
 from mor2.errors import DimensionError, DivergenceError
 
@@ -31,7 +33,7 @@ def test_imex_step_scalar_closed_form():
     spec = make_spec([[a]], [[b]], [[u0]],
                      nonlinear=lambda U, X, Y, t: np.full_like(U, c))
     want = (u0 + h * c) / (1.0 - h * (a + b))
-    out = fullsolve.imex_euler_step(spec, spec.U0, 0.0, h)
+    out = full_step(spec, spec.U0, 0.0, h, "imex")
     assert np.allclose(out, [[want]], atol=1e-13)
     traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
     assert np.allclose(traj.states[-1], [[want]], atol=1e-13)
@@ -45,7 +47,7 @@ def test_imex_step_matches_kron_oracle():
     h = 0.05
     F = problems.eval_nonlinear(spec, U0, 0.0)
     ref = oracles.vectorized_imex_step(A, B, U0, F, h)
-    assert np.allclose(fullsolve.imex_euler_step(spec, U0, 0.0, h), ref, atol=1e-10)
+    assert np.allclose(full_step(spec, U0, 0.0, h, "imex"), ref, atol=1e-10)
     traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
     assert np.allclose(traj.states[-1], ref, atol=1e-10)
 
@@ -69,8 +71,7 @@ def test_exp_euler_step_matches_kron_oracle():
     spec = make_spec(A, B, U0, nonlinear=lambda U, X, Y, t: np.tanh(U))
     h = 0.05
     F = problems.eval_nonlinear(spec, U0, 0.0)
-    out = fullsolve.exp_euler_step(spec, kernels.sym_eig(A), kernels.sym_eig(B),
-                                   U0, 0.0, h)
+    out = full_step(spec, U0, 0.0, h, "etd")
     assert np.allclose(out, oracles.vectorized_etd_step(A, B, U0, F, h), atol=1e-10)
 
 
@@ -155,6 +156,22 @@ def test_iter_full_matches_run_full():
         assert np.allclose(U, traj.states[i], atol=1e-12)
 
 
+def test_iter_full_overwrites_one_state_and_allocates_only_f():
+    spec = problems.build_problem("ac1", 64)
+    it = fullsolve.iter_full(spec, fullsolve.TimeGrid(spec.t_final, 6), "etd")
+    next(it)
+    _, _, first = next(it)
+    tracemalloc.start()
+    try:
+        _, _, U = next(it)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert U is first
+    # F at the new state is the one n x n array a step allocates
+    assert peak < 1.5 * U.nbytes
+
+
 def test_trajectory_source_contents():
     rng = np.random.default_rng(76)
     A, B = stable_pair(rng, 3, 3, symmetric=True)
@@ -201,3 +218,51 @@ def test_stepper_fallback_for_defective_operator():
     traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="etd")
     ref = oracles.vectorized_etd_step(A, B, U0, F, h)
     assert np.allclose(traj.states[-1], ref, atol=1e-9)
+
+
+# ------------------------------------------------- against the legacy formula
+
+@pytest.mark.parametrize("name", ["ac1", "rdc"])
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_iter_full_matches_legacy_trajectory(name, scheme):
+    spec = problems.build_problem(name, 32)
+    grid = fullsolve.TimeGrid(spec.t_final, 20)
+    ref = oracles.legacy_full_trajectory(spec, kernels.eig_pair(spec.A),
+                                         kernels.eig_pair(spec.B), grid.h, grid.n_t, scheme)
+    count = 0
+    for i, t, U in fullsolve.iter_full(spec, grid, scheme):
+        assert np.linalg.norm(U - ref[i]) <= 1e-12 * np.linalg.norm(ref[i])
+        count += 1
+    assert count == len(ref) == 21
+
+
+def test_trajectory_source_evaluates_f_once_per_node(monkeypatch):
+    calls = []
+    evaluate = problems.eval_nonlinear
+
+    def counting(*args):
+        calls.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(problems, "eval_nonlinear", counting)
+    spec = problems.build_problem("ac1", 16)
+    times = np.linspace(0.0, 1.0, 9)
+    _, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
+    assert calls == list(times)
+    assert len(nonl.matrices) == len(times)
+
+
+def test_divergence_step_index_matches_legacy():
+    # non-normal A: a general, non-orthogonal eigenbasis
+    A = np.array([[0.3, 4.0], [0.0, 0.1]])
+    spec = make_spec(A, [[0.2]], [[1.0], [1.5]],
+                     nonlinear=lambda U, X, Y, t: U**3, t_final=4.0)
+    grid = fullsolve.TimeGrid(4.0, 40)
+    for scheme in ("etd", "imex"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = oracles.legacy_full_trajectory(spec, kernels.eig_pair(A), kernels.eig_pair(spec.B),
+                                                 grid.h, grid.n_t, scheme)
+            with pytest.raises(DivergenceError) as err:
+                fullsolve.run_full(spec, grid, scheme=scheme)
+        assert 1 < len(ref) - 1 < grid.n_t      # the legacy run diverged mid-run
+        assert err.value.step == len(ref) - 1

@@ -311,40 +311,115 @@ def test_phi1_matches_block_oracle():
     assert np.allclose(kernels.phi1(d), np.diag(block), atol=1e-11)
 
 
-# -------------------------------------------------------------- etd_euler_update
+# -------------------------------------------------------- Propagator and update
+
+def _step(prop, U, F, h):
+    """One full step of prop from and to physical coordinates."""
+    return kernels.etd_euler_update(prop, prop.to_coords(U), F, h)[1]
+
 
 def test_etd_update_scalar_closed_form():
     a, b, u, f, h = -0.7, 0.2, 1.3, 0.9, 0.05
-    out = kernels.etd_euler_update(
-        kernels.sym_eig([[a]]), kernels.sym_eig([[b]]),
-        np.array([[u]]), np.array([[f]]), h,
-    )
+    prop = kernels.Propagator([[a]], [[b]], "etd")
+    out = _step(prop, np.array([[u]]), np.array([[f]]), h)
     z = h * (a + b)
     want = np.exp(z) * u + h * ((np.exp(z) - 1.0) / z) * f
     assert np.allclose(out, [[want]], atol=1e-13)
 
 
-def test_etd_update_matches_vectorized_oracle():
-    rng = np.random.default_rng(62)
-    A = rng.standard_normal((4, 4))
-    A = A + A.T
+def _operator_pair(kind, rng):
+    """(A, B) whose propagator takes the named route."""
+    if kind == "symmetric":
+        A = rng.standard_normal((4, 4))
+        B = rng.standard_normal((3, 3))
+        return A + A.T, B + B.T
+    if kind == "general real":
+        S = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+        A = S @ np.diag([-1.0, -2.0, -0.5, 0.3]) @ np.linalg.inv(S)
+        B = np.triu(rng.standard_normal((3, 3)), 1) + np.diag([-0.4, 0.1, -1.5])
+        return A, B
+    if kind == "complex":
+        return rng.standard_normal((5, 5)), rng.standard_normal((4, 4))
+    # defective: a Jordan block has no usable eigenbasis
     B = rng.standard_normal((3, 3))
-    B = B + B.T
-    U = rng.standard_normal((4, 3))
-    F = rng.standard_normal((4, 3))
+    return np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]]), B + B.T
+
+
+def _check_route(kind, scheme):
+    rng = np.random.default_rng(62)
+    A, B = _operator_pair(kind, rng)
+    U = rng.standard_normal((A.shape[0], B.shape[0]))
+    F = rng.standard_normal(U.shape)
     h = 0.05
-    out = kernels.etd_euler_update(kernels.sym_eig(A), kernels.sym_eig(B), U, F, h)
-    ref = oracles.vectorized_etd_step(A, B, U, F, h)
-    assert np.allclose(out, ref, atol=1e-10)
+    prop = kernels.Propagator(A, B, scheme)
+    assert prop.fallback == (kind == "fallback")
+    assert np.iscomplexobj(prop.Qa) == (kind == "complex")
+    oracle = oracles.vectorized_etd_step if scheme == "etd" else oracles.vectorized_imex_step
+    ref = oracle(A, B, U, F, h)
+    for _ in range(2):     # the second step reuses the cached factors
+        out = _step(prop, U, F, h)
+        assert np.isrealobj(out)
+        assert np.linalg.norm(out - ref) <= 1e-10 * max(np.linalg.norm(ref), 1.0)
+    into = np.empty_like(U)
+    _, got = kernels.etd_euler_update(prop, prop.to_coords(U), F, h, out=into)
+    assert got is into and np.array_equal(got, out)
+
+
+def test_etd_update_matches_vectorized_oracle():
+    _check_route("symmetric", "etd")
 
 
 def test_etd_update_general_eigenbases():
-    rng = np.random.default_rng(63)
-    A = rng.standard_normal((5, 5))
-    B = rng.standard_normal((4, 4))
-    U = rng.standard_normal((5, 4))
-    F = rng.standard_normal((5, 4))
-    h = 0.02
-    out = kernels.etd_euler_update(kernels.general_eig(A), kernels.general_eig(B), U, F, h)
-    ref = oracles.vectorized_etd_step(A, B, U, F, h)
-    assert np.linalg.norm(out - ref) <= 1e-8 * max(np.linalg.norm(ref), 1.0)
+    _check_route("general real", "etd")
+
+
+@pytest.mark.parametrize("kind, scheme", [
+    ("complex", "etd"), ("fallback", "etd"), ("symmetric", "imex"),
+    ("general real", "imex"), ("complex", "imex"), ("fallback", "imex"),
+])
+def test_propagator_step_matches_vectorized_oracle(kind, scheme):
+    _check_route(kind, scheme)
+
+
+def test_propagator_rebuilds_factors_when_h_changes():
+    rng = np.random.default_rng(64)
+    A, B = _operator_pair("general real", rng)
+    U = rng.standard_normal((4, 3))
+    F = rng.standard_normal((4, 3))
+    prop = kernels.Propagator(A, B, "etd")
+    for h in (0.05, 0.02, 0.05):
+        ref = oracles.vectorized_etd_step(A, B, U, F, h)
+        assert np.linalg.norm(_step(prop, U, F, h) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_propagator_derives_transposed_basis():
+    rng = np.random.default_rng(65)
+    A, _ = _operator_pair("general real", rng)
+    prop = kernels.Propagator(A, A.T, "etd")
+    # B's basis is a view of A's: no second pair of eigenvector matrices
+    assert np.shares_memory(prop.Qb, prop.Qa_inv)
+    assert np.shares_memory(prop.Qb_inv, prop.Qa)
+    U = rng.standard_normal((4, 4))
+    F = rng.standard_normal((4, 4))
+    h = 0.05
+    ref = oracles.legacy_etd_update(kernels.general_eig(A), kernels.general_eig(A.T), U, F, h)
+    assert np.linalg.norm(_step(prop, U, F, h) - ref) <= 1e-12 * np.linalg.norm(ref)
+    same = kernels.Propagator(A, A.copy(), "etd")
+    assert same.Qb is same.Qa and same.Qb_inv is same.Qa_inv
+
+
+def test_propagator_fallback_rejects_overlapping_spectra():
+    with pytest.raises(SingularityError):
+        kernels.Propagator([[0.0, 1.0], [0.0, 0.0]], [[0.0]], "etd")
+
+
+def test_propagator_imex_singular_step():
+    prop = kernels.Propagator([[1.0]], [[1.0]], "imex")
+    with pytest.raises(SingularityError):
+        prop.advance(np.ones((1, 1)), np.ones((1, 1)), 0.5)
+
+
+def test_propagator_unknown_scheme():
+    with pytest.raises(DimensionError):
+        kernels.Propagator([[1.0]], [[1.0]], "rk4")
+

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import identity_model, identity_pair, make_spec, stable_pair
-from mor2 import deim, fullsolve, pod, problems, rom
+from conftest import (identity_model, identity_pair, make_spec, offline_pipeline, reduced_step,
+                      stable_pair)
+from mor2 import deim, fullsolve, kernels, pod, problems, rom
 from mor2.errors import DimensionError, DivergenceError, SingularityError
 
 
@@ -19,7 +20,7 @@ def random_model(rng, spec, k1, k2, p1, p2):
                            np.ones(p1), np.ones(p2), 1e-3, 4, max(p1, p2))
     op = deim.build_deim(fbasis)
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
-    return rom.assemble_rom(spec, ubasis, factors), ubasis
+    return rom.assemble_rom(spec, ubasis, factors), ubasis, factors
 
 
 # --------------------------------------------------------------------- assembly
@@ -33,11 +34,11 @@ def test_assemble_identity_bases_reproduce_operators():
     assert np.allclose(model.Ak, A, atol=1e-13)
     assert np.allclose(model.Bk, B, atol=1e-13)
     assert np.allclose(model.Y0, U0, atol=1e-13)
-    assert not model.fallback
-    assert model.eigAk.symmetric
+    assert not model.propagator.fallback
+    assert np.allclose(model.propagator.Qa_inv, model.propagator.Qa.T)
     la, lb = np.linalg.eigvals(A), np.linalg.eigvals(B)
     sep = np.min(np.abs(la[:, None] + lb[None, :]))
-    assert np.isclose(model.spectral_separation, sep)
+    assert np.isclose(model.propagator.separation, sep)
 
 
 def test_assemble_is_a_rayleigh_projection():
@@ -48,7 +49,7 @@ def test_assemble_is_a_rayleigh_projection():
     B = rng.standard_normal((n, n)) - 3.0 * n * np.eye(n)
     U0 = rng.standard_normal((n, n))
     spec = make_spec(A, B, U0)
-    model, ubasis = random_model(rng, spec, 4, 3, 3, 3)
+    model, ubasis, _ = random_model(rng, spec, 4, 3, 3, 3)
     assert np.allclose(model.Ak, ubasis.Vl.T @ A @ ubasis.Vl, atol=1e-12)
     assert np.allclose(model.Ak, model.Ak.T)
     assert np.allclose(model.Bk, ubasis.Wr.T @ B @ ubasis.Wr, atol=1e-12)
@@ -60,7 +61,7 @@ def test_assemble_projected_spectrum_contained():
     A = rng.standard_normal((10, 10))
     A = A + A.T
     spec = make_spec(A, A, rng.standard_normal((10, 10)))
-    model, _ = random_model(rng, spec, 4, 4, 2, 2)
+    model, _, _ = random_model(rng, spec, 4, 4, 2, 2)
     lo, hi = np.linalg.eigvalsh(A)[[0, -1]]
     lk = np.linalg.eigvalsh(model.Ak)
     assert lk.min() >= lo - 1e-10 and lk.max() <= hi + 1e-10
@@ -81,8 +82,8 @@ def test_assemble_defective_but_separated_falls_back():
     spec = make_spec(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.array([[-2.0]]),
                      np.ones((2, 1)))
     model, _ = identity_model(spec)
-    assert model.fallback
-    assert np.isclose(model.spectral_separation, 3.0)
+    assert model.propagator.fallback
+    assert np.isclose(model.propagator.separation, 3.0)
 
 
 # ------------------------------------------------------------------ single step
@@ -95,7 +96,7 @@ def test_etd_step_zero_nonlinearity_is_semigroup():
     Y = rng.standard_normal((4, 4))
     h = 0.3
     want = oracles.pade_expm(h * A) @ Y @ oracles.pade_expm(h * B)
-    assert np.allclose(rom.etd_step(model, Y, 0.0, h), want, atol=1e-11)
+    assert np.allclose(reduced_step(model, Y, 0.0, h), want, atol=1e-11)
 
 
 def test_etd_step_scalar_closed_form():
@@ -104,7 +105,7 @@ def test_etd_step_scalar_closed_form():
     model, _ = identity_model(spec)
     z = h * (a + b)
     want = np.exp(z) * y + h * ((np.exp(z) - 1.0) / z) * y**2
-    out = rom.etd_step(model, np.array([[y]]), 0.0, h)
+    out = reduced_step(model, np.array([[y]]), 0.0, h)
     assert np.allclose(out, [[want]], atol=1e-13)
 
 
@@ -113,13 +114,13 @@ def test_etd_step_matches_kron_oracle():
     A, B = stable_pair(rng, 16, 16, symmetric=True)
     spec = make_spec(A, B, rng.standard_normal((16, 16)),
                      nonlinear=lambda U, X, Y, t: U - U**3)
-    model, ubasis = random_model(rng, spec, 3, 4, 3, 3)
+    model, ubasis, factors = random_model(rng, spec, 3, 4, 3, 3)
     h = 0.05
     for _ in range(5):
         Y = rng.standard_normal((3, 4))
-        f = deim.reduced_nonlinear(model.factors, spec, Y, 0.0)
+        f = deim.reduced_nonlinear(factors, spec, Y, 0.0)
         ref = oracles.vectorized_etd_step(model.Ak, model.Bk, Y, f, h)
-        assert np.allclose(rom.etd_step(model, Y, 0.0, h), ref, atol=1e-10)
+        assert np.allclose(reduced_step(model, Y, 0.0, h), ref, atol=1e-10)
 
 
 def test_etd_step_fallback_matches_kron_oracle():
@@ -127,11 +128,11 @@ def test_etd_step_fallback_matches_kron_oracle():
     spec = make_spec(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.array([[-2.0]]),
                      np.ones((2, 1)), nonlinear=lambda U, X, Y, t: np.sin(U))
     model, _ = identity_model(spec)
-    assert model.fallback
+    assert model.propagator.fallback
     Y = rng.standard_normal((2, 1))
     F = np.sin(Y)
     ref = oracles.vectorized_etd_step(model.Ak, model.Bk, Y, F, 0.1)
-    assert np.allclose(rom.etd_step(model, Y, 0.0, 0.1), ref, atol=1e-9)
+    assert np.allclose(reduced_step(model, Y, 0.0, 0.1), ref, atol=1e-9)
 
 
 # ------------------------------------------------------------------- online runs
@@ -350,3 +351,55 @@ def test_average_error_vector_identical_zero():
     assert rom.average_error_vector(ref, traj, vb) <= 1e-13
     zero = rom.RomTrajectory(traj.times, [np.zeros_like(y) for y in traj.states])
     assert np.isclose(rom.average_error_vector(ref, zero, vb), 1.0)
+
+
+# ------------------------------------------------- against the legacy formula
+
+def _legacy_online(model, factors, grid):
+    return oracles.legacy_reduced_trajectory(
+        model.Ak, model.Bk, model.Y0, factors, model.spec, kernels.eig_pair(model.Ak),
+        kernels.eig_pair(model.Bk), grid.h, grid.n_t)
+
+
+@pytest.mark.parametrize("name", ["ac1", "rdc"])
+def test_run_online_matches_legacy_trajectory(name):
+    spec = problems.build_problem(name, 32)
+    pipe = offline_pipeline(spec, n_max=20, kappa=20, tau=1e-3)
+    model = rom.assemble_rom(spec, pipe["ubasis"], pipe["factors"])
+    grid = fullsolve.TimeGrid(spec.t_final, 20)
+    traj = rom.run_online(model, grid)
+    ref = _legacy_online(model, pipe["factors"], grid)
+    assert len(traj.states) == len(ref) == 21
+    for Y, want in zip(traj.states, ref):
+        assert np.linalg.norm(Y - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_run_online_complex_basis_matches_legacy_trajectory():
+    rng = np.random.default_rng(139)
+    A, B = stable_pair(rng, 12, 10, symmetric=False)
+    spec = make_spec(A, B, rng.standard_normal((12, 10)),
+                     nonlinear=lambda U, X, Y, t: np.sin(U))
+    model, _, factors = random_model(rng, spec, 4, 3, 4, 4)
+    assert np.iscomplexobj(model.propagator.Qa)
+    grid = fullsolve.TimeGrid(1.0, 20)
+    traj = rom.run_online(model, grid)
+    ref = _legacy_online(model, factors, grid)
+    for Y, want in zip(traj.states, ref):
+        assert np.isrealobj(Y)
+        assert np.linalg.norm(Y - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_run_online_divergence_step_matches_legacy():
+    # strongly non-normal A: coordinate and state norms differ by up to cond(Qa)
+    spec = make_spec(np.array([[1.0, 300.0], [0.0, 0.999]]), [[0.5]], [[1.0], [-0.5]],
+                     t_final=30.0)
+    model, ubasis = identity_model(spec)
+    fbasis = identity_pair(2, 1)
+    factors = deim.precompute_rom_factors(ubasis, fbasis, deim.build_deim(fbasis))
+    assert np.linalg.cond(model.propagator.Qa) > 100.0
+    grid = fullsolve.TimeGrid(30.0, 40)
+    ref = _legacy_online(model, factors, grid)
+    assert 1 < len(ref) - 1 < grid.n_t
+    with pytest.raises(DivergenceError) as err:
+        rom.run_online(model, grid)
+    assert err.value.step == len(ref) - 1
