@@ -96,6 +96,16 @@ class RunConfig:
             raise ConfigError("snapshot_scheme must be 'imex' or 'etd'")
         if self.reference_scheme not in ("imex", "etd"):
             raise ConfigError("reference_scheme must be 'imex' or 'etd'")
+        if self.test_times < 1:
+            raise ConfigError("test_times must be positive")
+        if not self.taus or not all(0.0 < t < 1.0 for t in self.taus):
+            raise ConfigError("taus must be values strictly between 0 and 1")
+        if min(self.bench_k, self.bench_p, self.bench_steps) < 1:
+            raise ConfigError("bench_k, bench_p and bench_steps must be positive")
+        if self.bench_n_max < 4:
+            raise ConfigError("bench_n_max must be at least 4")
+        if any(n < max(self.bench_k, self.bench_p) for n in self.bench_sizes):
+            raise ConfigError("every bench size must be at least bench_k and bench_p")
         return self
 
 
@@ -422,9 +432,10 @@ def cmd_solve(cfg):
     mean_err = None
     per_node = []
     if cfg.reference:
-        mean_err, per_node = _streaming_reference_error(
-            spec, grid, cfg.reference_scheme, traj, ubasis
-        )
+        reference = ((t, U) for _, t, U in
+                     fullsolve.iter_full(spec, grid, cfg.reference_scheme))
+        mean_err, per_node = rom.relative_errors(reference, traj,
+                                                 lambda Y: rom.lift(ubasis, Y))
 
     out = _out_dir(cfg)
     sel = manifest["selection"]
@@ -448,9 +459,7 @@ def cmd_solve(cfg):
         _write_csv(out / "error_vs_time.csv", cfg, ["time", "rel_error"],
                    [[t, e] for t, e in per_node])
     rom.export_trajectory_csv(out / "reduced_trajectory.csv", traj)
-    persist.write_snapshots(out / "reduced_states.mor2snap",
-                            fullsolve.SnapshotStream("reduced-state", traj.times,
-                                                     traj.states))
+    persist.write_snapshots(out / "reduced_states.mor2snap", traj)
     _write_json(out / "run_info.json", {
         "command": "solve", "config": dataclasses.asdict(cfg),
         "timings": {
@@ -467,25 +476,6 @@ def cmd_solve(cfg):
     return 0
 
 
-def _streaming_reference_error(spec, grid, scheme, romtraj, ubasis):
-    """Reference solve and error accumulation without storing the trajectory."""
-    total, count = 0.0, 0
-    per_node = []
-    for i, t, U in fullsolve.iter_full(spec, grid, scheme):
-        if i == 0:
-            continue
-        nrm = np.linalg.norm(U)
-        if nrm == 0.0:
-            continue
-        e = float(np.linalg.norm(U - rom.lift(ubasis, romtraj.states[i])) / nrm)
-        per_node.append((float(t), e))
-        total += e
-        count += 1
-    if count == 0:
-        raise IntegrityError("reference run produced no comparable nodes")
-    return total / count, per_node
-
-
 # ---------------------------------------------------------------------------
 # full
 
@@ -499,13 +489,8 @@ def cmd_full(cfg):
         spec, times, cfg.snapshot_scheme
     )
     out = _out_dir(cfg)
-    persist.write_snapshots(out / "state.mor2snap",
-                            fullsolve.SnapshotStream("state", state_src.times,
-                                                     state_src.matrices))
-    persist.write_snapshots(out / "nonlinearity.mor2snap",
-                            fullsolve.SnapshotStream("nonlinearity",
-                                                     nonl_src.times,
-                                                     nonl_src.matrices))
+    persist.write_snapshots(out / "state.mor2snap", state_src)
+    persist.write_snapshots(out / "nonlinearity.mor2snap", nonl_src)
     _write_json(out / "run_info.json", {
         "command": "full", "config": dataclasses.asdict(cfg),
         "timings": {"snapshot_seconds": snap_seconds,

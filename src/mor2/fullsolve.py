@@ -45,33 +45,24 @@ class TimeGrid:
 
 
 @dataclass
-class SnapshotStream:
-    """Matrices observed at increasing times; kind is 'state'/'nonlinearity'."""
+class Trajectory:
+    """Matrices at increasing times, read by index or as (t, U) pairs.
 
-    kind: str
-    times: np.ndarray
-    matrices: list
-
-
-@dataclass
-class FullTrajectory:
-    """Stored states of a full-order run (possibly strided)."""
+    kind names what they are: "state" (full states), "nonlinearity"
+    (F at those states) or "reduced-state" (cores of a reduced run).
+    seconds is the wall time of the run that made them, where one did.
+    """
 
     times: np.ndarray
     states: list
-    scheme: str = "imex"
-
-
-@dataclass
-class ArraySource:
-    """Snapshot source backed by precomputed matrices."""
-
-    times: np.ndarray
-    matrices: list
     kind: str = "state"
+    seconds: float = 0.0
 
     def matrix(self, i):
-        return self.matrices[i]
+        return self.states[i]
+
+    def __iter__(self):
+        return zip(self.times, self.states)
 
 
 @dataclass
@@ -127,10 +118,11 @@ def _integrate(spec, times, scheme, capture_mask, store_mask, h=None):
             cap_state.append(U)
             cap_nonl.append(F)
 
-    traj = FullTrajectory(np.array(stored_t), stored, scheme)
-    state = SnapshotStream("state", np.array(cap_t), cap_state)
-    nonl = SnapshotStream("nonlinearity", np.array(cap_t), cap_nonl)
-    return traj, state, nonl
+    return (
+        Trajectory(np.array(stored_t), stored),
+        Trajectory(np.array(cap_t), cap_state),
+        Trajectory(np.array(cap_t), cap_nonl, "nonlinearity"),
+    )
 
 
 def run_full(spec, grid, scheme="imex", capture=None, store_stride=None):
@@ -141,7 +133,7 @@ def run_full(spec, grid, scheme="imex", capture=None, store_stride=None):
     how densely the trajectory itself is kept; by default every node at
     n <= 256 and every fifth node above.
 
-    Returns (trajectory, state stream, nonlinearity stream).
+    Returns Trajectory objects (stored run, captured states, captured F).
     """
     nodes = grid.nodes
     n = spec.A.shape[0]
@@ -178,7 +170,7 @@ def trajectory_source(spec, times, scheme="imex"):
     """Integrate over the given time nodes and expose snapshot sources.
 
     The candidate nodes double as the integration grid, so each node costs
-    one step.  Returns (state source, nonlinearity source, seconds).
+    one step.  Returns (state trajectory, nonlinearity trajectory, seconds).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
@@ -186,9 +178,4 @@ def trajectory_source(spec, times, scheme="imex"):
     tic = time.perf_counter()
     mask = np.ones(len(times), dtype=bool)
     _, state, nonl = _integrate(spec, times, scheme, mask, np.zeros_like(mask))
-    elapsed = time.perf_counter() - tic
-    return (
-        ArraySource(state.times, state.matrices, "state"),
-        ArraySource(nonl.times, nonl.matrices, "nonlinearity"),
-        elapsed,
-    )
+    return state, nonl, time.perf_counter() - tic

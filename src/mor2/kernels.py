@@ -214,25 +214,6 @@ def solve_sylvester(A, B, C, overlap_tol=OVERLAP_TOL):
     return scipy.linalg.solve_sylvester(A, B, C)
 
 
-def expm_apply(Aeig, h, M, side="left"):
-    """Apply the matrix exponential exp(h A) to M from the given side.
-
-    Aeig is an EigenPair of A; the product is formed in the eigenbasis so a
-    single decomposition serves every step size.
-    """
-    M = np.asarray(M)
-    E = np.exp(h * Aeig.values)
-    if side == "left":
-        out = Aeig.vectors @ (E[:, None] * (Aeig.inverse @ M))
-    elif side == "right":
-        out = (M @ Aeig.vectors) * E[None, :] @ Aeig.inverse
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    if not Aeig.symmetric and np.isrealobj(M):
-        return out.real
-    return out
-
-
 def phi1(z):
     """First exponential-integrator kernel (e^z - 1) / z, with phi1(0) = 1."""
     z = np.atleast_1d(np.asarray(z))

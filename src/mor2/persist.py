@@ -1,4 +1,4 @@
-"""Binary persistence of snapshot streams and basis pairs.
+"""Binary persistence of snapshot trajectories and basis pairs.
 
 Snapshot container ("MOR2SNAP"):
     magic 8s | version u16 | kind u8 | rows u32 | cols u32 | count u32 |
@@ -23,7 +23,7 @@ import numpy as np
 
 from .deim import DeimOperator, _lu_or_raise
 from .errors import FormatError
-from .fullsolve import SnapshotStream
+from .fullsolve import Trajectory
 from .pod import BasisPair
 
 SNAP_MAGIC = b"MOR2SNAP"
@@ -50,18 +50,18 @@ def _read_matrix(fh, rows, cols, what):
     return np.frombuffer(data, dtype="<f8").reshape(rows, cols, order="F").copy()
 
 
-def write_snapshots(path, stream):
-    """Serialize a SnapshotStream."""
-    if stream.kind not in _KIND_CODES:
-        raise FormatError(f"unknown stream kind {stream.kind!r}")
-    count = len(stream.matrices)
+def write_snapshots(path, traj):
+    """Serialize a Trajectory."""
+    if traj.kind not in _KIND_CODES:
+        raise FormatError(f"unknown stream kind {traj.kind!r}")
+    count = len(traj.states)
     if count == 0:
         raise FormatError("refusing to write an empty snapshot stream")
-    rows, cols = stream.matrices[0].shape
+    rows, cols = traj.states[0].shape
     with open(path, "wb") as fh:
         fh.write(struct.pack("<8sHBIII", SNAP_MAGIC, VERSION,
-                             _KIND_CODES[stream.kind], rows, cols, count))
-        for t, M in zip(stream.times, stream.matrices):
+                             _KIND_CODES[traj.kind], rows, cols, count))
+        for t, M in traj:
             if M.shape != (rows, cols):
                 raise FormatError("snapshot shapes are not uniform")
             fh.write(struct.pack("<d", float(t)))
@@ -69,7 +69,7 @@ def write_snapshots(path, stream):
 
 
 def read_snapshots(path):
-    """Load a SnapshotStream."""
+    """Load a Trajectory."""
     with open(path, "rb") as fh:
         header = _read(fh, struct.calcsize("<8sHBIII"), "snapshot header")
         magic, version, kind, rows, cols, count = struct.unpack("<8sHBIII", header)
@@ -86,7 +86,7 @@ def read_snapshots(path):
             mats.append(_read_matrix(fh, rows, cols, f"snapshot {i}"))
         if fh.read(1):
             raise FormatError("trailing bytes after the last snapshot")
-    return SnapshotStream(_KIND_NAMES[kind], np.array(times), mats)
+    return Trajectory(np.array(times), mats, _KIND_NAMES[kind])
 
 
 def write_basis(path, basis, op=None):

@@ -14,7 +14,7 @@ error is already below tolerance ends the scan early.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,27 +141,6 @@ def accumulate(acc, Xi):
     )
 
 
-def inclusion_error(Xi, acc, norm="fro"):
-    """Relative error of projecting Xi onto the accumulator's current spaces.
-
-    The left/right factors are orthonormalized on the fly by thin QR; the
-    error is ||Xi - P_l Xi P_r|| / ||Xi|| in the Frobenius norm (or the
-    spectral norm with norm='2').  A zero snapshot scores 0; an empty
-    accumulator scores 1 for any nonzero snapshot.
-    """
-    Xi = np.asarray(Xi, dtype=float)
-    ord_ = None if norm == "fro" else 2
-    denom = np.linalg.norm(Xi, ord_)
-    if denom == 0.0:
-        return 0.0
-    if acc.is_empty:
-        return 1.0
-    Ql = np.linalg.qr(acc.Vt)[0]
-    Qr = np.linalg.qr(acc.Wh)[0]
-    resid = Xi - Ql @ (Ql.T @ Xi @ Qr) @ Qr.T
-    return float(np.linalg.norm(resid, ord_) / denom)
-
-
 @dataclass(frozen=True)
 class BasisPair:
     """Orthonormal row-space basis Vl and column-space basis Wr with weights."""
@@ -281,6 +260,43 @@ def phase_index_sets(m):
     return [np.arange(0, m, 4), np.arange(2, m, 4), np.arange(1, m, 2)]
 
 
+def _phased_selection(times, m, tol, score, include):
+    """The adaptive sweep shared by dynamic_pod and vector_pod.
+
+    include(i) adds node i to the bases and says whether it joined (a zero
+    snapshot does not); score(i) rates node i against the current bases.
+    Node 0 seeds the bases unscored.  Every later node of the three phases
+    is scored and included when its score exceeds tol, then rescored
+    against the refreshed bases, so the stop test (phase mean of scores
+    <= tol) sees residuals, not the triggering errors.  Returns a
+    SelectionReport without method, storage or timing.
+    """
+    included = [times[0]] if include(0) else []
+    evaluated, errors, phase_means = [], [], []
+    for p, idx in enumerate(phase_index_sets(m)):
+        errs = []
+        for i in idx:
+            if p == 0 and i == 0:
+                continue  # seed node
+            e = score(i)
+            evaluated.append(times[i])
+            errors.append(e)
+            if e > tol and include(i):
+                included.append(times[i])
+                e = score(i)
+            errs.append(e)
+        phase_means.append(float(np.sum(errs) / len(idx)))
+        if phase_means[-1] <= tol:
+            break
+    return SelectionReport(
+        method="", phases_used=len(phase_means),
+        included_times=np.array(included),
+        evaluated_times=np.array(evaluated),
+        per_time_error=np.array(errors),
+        phase_mean_errors=phase_means,
+    )
+
+
 def dynamic_pod(source, tol, kappa, tau, n_max=None, norm="fro", detect_symmetry=False):
     """Phased adaptive selection plus pruning; the main offline routine.
 
@@ -292,61 +308,35 @@ def dynamic_pod(source, tol, kappa, tau, n_max=None, norm="fro", detect_symmetry
     spans a snapshot that the truncated bases cannot represent, and the
     truncated bases are what the reduced model uses.  It also decouples the
     selection count from the truncation level, since tightening tau
-    enriches the bases at the same rate it tightens the test.  After an
-    inclusion the node is rescored against the refreshed bases, so the stop
-    test (phase mean of scores <= tol) sees residuals, not the triggering
-    errors.  Returns (BasisPair, SelectionReport).
+    enriches the bases at the same rate it tightens the test.  The sweep
+    itself is _phased_selection.  Returns (BasisPair, SelectionReport).
     """
     times = np.asarray(source.times, dtype=float)
     m = effective_n_max(len(times) if n_max is None else min(n_max, len(times)))
-    phases = phase_index_sets(m)
     tic = time.perf_counter()
+    acc = TripletAccumulator.empty(kappa)
+    deliv = None  # the tau-pruned bases of the included snapshots
+    peak = 0
 
-    acc = accumulate(TripletAccumulator.empty(kappa), source.matrix(0))
-    deliv = None if acc.is_empty else prune(acc, tau, m)
-    included, evaluated, errors, phase_means = [], [], [], []
-    peak = acc.storage_floats
-    if deliv is not None:
-        included.append(times[0])
+    def score(i):
+        Xi = source.matrix(i)
+        if deliv is None:
+            return 0.0 if np.linalg.norm(Xi) == 0.0 else 1.0
+        return projection_error(Xi, deliv, norm)
 
-    phases_used = 0
-    for p, idx in enumerate(phases):
-        phases_used = p + 1
-        errs = []
-        for i in idx:
-            if p == 0 and i == 0:
-                continue  # seed node
-            Xi = source.matrix(i)
-            if deliv is None:
-                e = 0.0 if np.linalg.norm(Xi) == 0.0 else 1.0
-            else:
-                e = projection_error(Xi, deliv, norm)
-            evaluated.append(times[i])
-            errors.append(e)
-            if e > tol:
-                acc = accumulate(acc, Xi)
-                if not acc.is_empty:
-                    deliv = prune(acc, tau, m)
-                    included.append(times[i])
-                    peak = max(peak, acc.storage_floats)
-                    e = projection_error(Xi, deliv, norm)
-            errs.append(e)
-        phase_means.append(float(np.sum(errs) / len(idx)))
-        if phase_means[-1] <= tol:
-            break
+    def include(i):
+        nonlocal acc, deliv, peak
+        acc = accumulate(acc, source.matrix(i))
+        if acc.is_empty:
+            return False
+        deliv = prune(acc, tau, m)
+        peak = max(peak, acc.storage_floats)
+        return True
 
+    report = _phased_selection(times, m, tol, score, include)
     basis = prune(acc, tau, m, detect_symmetry=detect_symmetry)
-    report = SelectionReport(
-        method="dynamic",
-        phases_used=phases_used,
-        included_times=np.array(included),
-        evaluated_times=np.array(evaluated),
-        per_time_error=np.array(errors),
-        phase_mean_errors=phase_means,
-        peak_storage_floats=peak,
-        seconds=time.perf_counter() - tic,
-    )
-    return basis, report
+    return basis, replace(report, method="dynamic", peak_storage_floats=peak,
+                          seconds=time.perf_counter() - tic)
 
 
 def vanilla_update(Vl, Wr, Xi, kappa):
@@ -461,22 +451,28 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
         m = len(times) if n_max is None else n_max
     tic = time.perf_counter()
 
-    cols, col_times = [], []
+    cols = []
     Vk = None  # tau-truncated basis of the included snapshots
-    included, evaluated, errors, phase_means = [], [], [], []
     peak = 0
-    phases_used = 0
 
-    def include(xi, t):
+    def snapshot(i):
+        return source.matrix(i).ravel(order="F")
+
+    def include(i):
         nonlocal Vk, peak
+        xi = snapshot(i)
+        if not np.linalg.norm(xi) > 0:
+            return False
         cols.append(xi)
-        col_times.append(t)
         S = np.column_stack(cols)
         U, s, _ = np.linalg.svd(S, full_matrices=False)
         Vk = U[:, : retained_count(s, tau, m)]
         peak = max(peak, S.size + Vk.size)
+        return True
 
-    def score(xi, nrm):
+    def score(i):
+        xi = snapshot(i)
+        nrm = np.linalg.norm(xi)
         if nrm == 0.0:
             return 0.0
         if Vk is None:
@@ -484,32 +480,14 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
         return float(np.linalg.norm(xi - Vk @ (Vk.T @ xi)) / nrm)
 
     if adaptive:
-        xi0 = source.matrix(0).ravel(order="F")
-        if np.linalg.norm(xi0) > 0:
-            include(xi0, times[0])
-        for p, idx in enumerate(phase_index_sets(m)):
-            phases_used = p + 1
-            errs = []
-            for i in idx:
-                if p == 0 and i == 0:
-                    continue
-                xi = source.matrix(i).ravel(order="F")
-                nrm = np.linalg.norm(xi)
-                e = score(xi, nrm)
-                evaluated.append(times[i])
-                errors.append(e)
-                if e > tol and nrm > 0:
-                    include(xi, times[i])
-                    e = score(xi, nrm)
-                errs.append(e)
-            phase_means.append(float(np.sum(errs) / len(idx)))
-            if phase_means[-1] <= tol:
-                break
+        report = _phased_selection(times, m, tol, score, include)
     else:
-        for i in range(len(times)):
-            xi = source.matrix(i).ravel(order="F")
-            if np.linalg.norm(xi) > 0:
-                include(xi, times[i])
+        included = [times[i] for i in range(len(times)) if include(i)]
+        report = SelectionReport(
+            method="", phases_used=0, included_times=np.array(included),
+            evaluated_times=np.array([]), per_time_error=np.array([]),
+            phase_mean_errors=[],
+        )
 
     if not cols:
         raise DimensionError("vector selection never saw a nonzero snapshot")
@@ -520,12 +498,5 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
         V=_sign_normalize(U[:, :k].copy()), singvals=s[:k].copy(),
         shape=shape, tau=tau, n_max=m,
     )
-    report = SelectionReport(
-        method="vector", phases_used=phases_used,
-        included_times=np.array(col_times),
-        evaluated_times=np.array(evaluated),
-        per_time_error=np.array(errors),
-        phase_mean_errors=phase_means, peak_storage_floats=peak,
-        seconds=time.perf_counter() - tic,
-    )
-    return basis, report
+    return basis, replace(report, method="vector", peak_storage_floats=peak,
+                          seconds=time.perf_counter() - tic)

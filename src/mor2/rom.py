@@ -17,6 +17,7 @@ import scipy.linalg
 
 from . import deim, kernels, problems
 from .errors import DimensionError, DivergenceError
+from .fullsolve import Trajectory
 
 BLOWUP_NORM = 1e12
 
@@ -70,15 +71,6 @@ def etd_step(model, Yhat, t, h):
     return model.propagator.advance(Yhat, fhat, h)
 
 
-@dataclass
-class RomTrajectory:
-    """Reduced states at every node of the online grid."""
-
-    times: np.ndarray
-    states: list
-    seconds: float = 0.0
-
-
 def run_online(model, grid, blowup_norm=BLOWUP_NORM):
     """March the reduced model over the grid, storing every node.
 
@@ -105,7 +97,7 @@ def run_online(model, grid, blowup_norm=BLOWUP_NORM):
         coords[i] = Yhat
     states = prop.to_physical(coords)
     states[0] = model.Y0
-    return RomTrajectory(nodes.copy(), list(states), time.perf_counter() - tic)
+    return Trajectory(nodes.copy(), list(states), "reduced-state", time.perf_counter() - tic)
 
 
 def lift(ubasis, Y):
@@ -113,53 +105,41 @@ def lift(ubasis, Y):
     return ubasis.Vl @ Y @ ubasis.Wr.T
 
 
-def _match_times(ref_times, times):
-    span = max(abs(ref_times[-1] - ref_times[0]), 1e-300)
-    pairs = []
-    for j, t in enumerate(times):
-        i = int(np.argmin(np.abs(ref_times - t)))
-        if abs(ref_times[i] - t) <= 1e-9 * span:
-            pairs.append((i, j))
-    return pairs
+def relative_errors(reference, romtraj, lift):
+    """Relative Frobenius errors of a lifted reduced trajectory.
 
-
-def average_error(ref, romtraj, ubasis):
-    """Mean relative Frobenius error against a full reference trajectory.
-
-    Averages ||U_ref - lifted Y|| / ||U_ref|| over the common time nodes
-    after the initial one; zero-norm reference nodes are skipped.
+    reference is any iterable of (t, U): a stored Trajectory or a streamed
+    reference solve, consumed node by node.  Each node after the first is
+    matched by time to a node of romtraj and scored
+    ||U - lift(Y)|| / ||U||; zero-norm and unmatched nodes are skipped.
+    The mean is accumulated in node order.  Returns (mean, [(t, error)]).
     """
-    pairs = _match_times(ref.times, romtraj.times)
-    pairs = [
-        (i, j)
-        for i, j in pairs
-        if ref.times[i] > ref.times[0] and np.linalg.norm(ref.states[i]) > 0
-    ]
-    if not pairs:
-        raise DimensionError("reference and reduced trajectories share no usable nodes")
+    times = romtraj.times
+    span = max(abs(times[-1] - times[0]), 1e-300)
     total = 0.0
-    for i, j in pairs:
-        U = ref.states[i]
-        total += np.linalg.norm(U - lift(ubasis, romtraj.states[j])) / np.linalg.norm(U)
-    return total / len(pairs)
+    per_node = []
+    for i, (t, U) in enumerate(reference):
+        if i == 0:
+            continue
+        j = int(np.argmin(np.abs(times - t)))
+        nrm = np.linalg.norm(U)
+        if nrm == 0.0 or abs(times[j] - t) > 1e-9 * span:
+            continue
+        e = float(np.linalg.norm(U - lift(romtraj.states[j])) / nrm)
+        per_node.append((float(t), e))
+        total += e
+    if not per_node:
+        raise DimensionError("reference and reduced trajectories share no usable nodes")
+    return total / len(per_node), per_node
 
 
-def export_trajectory_csv(path, romtraj, ref=None, ubasis=None):
-    """Write per-node reduced norms (and errors, given a reference) to CSV."""
-    errors = {}
-    if ref is not None and ubasis is not None:
-        for i, j in _match_times(ref.times, romtraj.times):
-            nrm = np.linalg.norm(ref.states[i])
-            if ref.times[i] > ref.times[0] and nrm > 0:
-                errors[j] = (
-                    np.linalg.norm(ref.states[i] - lift(ubasis, romtraj.states[j])) / nrm
-                )
+def export_trajectory_csv(path, romtraj):
+    """Write per-node reduced norms to CSV; the rel_error column stays empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "frobenius_norm", "rel_error"])
-        for j, t in enumerate(romtraj.times):
-            err = f"{errors[j]:.12e}" if j in errors else ""
-            writer.writerow([f"{t:.12e}", f"{np.linalg.norm(romtraj.states[j]):.12e}", err])
+        for t, Y in romtraj:
+            writer.writerow([f"{t:.12e}", f"{np.linalg.norm(Y):.12e}", ""])
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +196,4 @@ def run_online_vector(model, grid, blowup_norm=BLOWUP_NORM):
                 f"reduced vector state blew up at step {i} (||y|| = {nrm:.3e})", step=i
             )
         states.append(y)
-    return RomTrajectory(grid.nodes.copy(), states, time.perf_counter() - tic)
-
-
-def average_error_vector(ref, romtraj, vbasis):
-    """Mean relative error of the lifted vector model against a reference."""
-    n, m = vbasis.shape
-    pairs = _match_times(ref.times, romtraj.times)
-    pairs = [
-        (i, j)
-        for i, j in pairs
-        if ref.times[i] > ref.times[0] and np.linalg.norm(ref.states[i]) > 0
-    ]
-    if not pairs:
-        raise DimensionError("reference and reduced trajectories share no usable nodes")
-    total = 0.0
-    for i, j in pairs:
-        U = ref.states[i]
-        lifted = (vbasis.V @ romtraj.states[j]).reshape(n, m, order="F")
-        total += np.linalg.norm(U - lifted) / np.linalg.norm(U)
-    return total / len(pairs)
+    return Trajectory(grid.nodes.copy(), states, "reduced-state", time.perf_counter() - tic)

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mor2 import cli, persist
+from mor2 import cli, fullsolve, persist
 from mor2.errors import ConfigError
 
 AC1_SETS = ["problem=ac1", "n=16", "n_max=8", "kappa=12", "tau=1e-3"]
@@ -73,6 +73,15 @@ def test_load_config_file_with_overrides(tmp_path):
     ["norm=spectral"],
     ["snapshot_scheme=rk4"],
     ["badpair"],
+    ["bench_steps=0"],
+    ["bench_k=0"],
+    ["test_times=0"],
+    ["taus=0,1e-3"],
+    ["taus="],
+    ["bench_n_max=3"],
+    ["bench_sizes=16,24", "bench_p=20"],
+    ["bench_p=0"],
+    ["bench_sizes=16,24", "bench_k=20"],
 ])
 def test_load_config_rejects(sets):
     with pytest.raises(ConfigError):
@@ -143,7 +152,7 @@ def test_solve_runs_from_artifacts(artifacts):
     assert header[-1] == "mean_error" and len(rows) == 1
     assert float(rows[0][-1]) <= 1e-2
     stream = persist.read_snapshots(artifacts / "reduced_states.mor2snap")
-    assert stream.kind == "reduced-state" and len(stream.matrices) == 41
+    assert stream.kind == "reduced-state" and len(stream.states) == 41
     _, _, err_rows = read_report(artifacts / "error_vs_time.csv")
     assert len(err_rows) == 40  # initial node carries no error
     _, _, traj_rows = read_report(artifacts / "reduced_trajectory.csv")
@@ -163,6 +172,21 @@ def test_solve_without_reference_leaves_error_blank(artifacts, tmp_path):
     _, _, rows = read_report(work / "solve_report.csv")
     assert rows[0][-1] == ""
     assert not (work / "error_vs_time.csv").is_file()
+
+
+def test_solve_reference_without_comparable_nodes_exits_3(artifacts, tmp_path,
+                                                          monkeypatch, capsys):
+    work = tmp_path / "zero"
+    shutil.copytree(artifacts, work)
+
+    def zero_reference(spec, grid, scheme):
+        for i, t in enumerate(grid.nodes):
+            yield i, t, np.zeros_like(spec.U0)
+
+    monkeypatch.setattr(fullsolve, "iter_full", zero_reference)
+    rc = cli.main(argv("solve", AC1_SETS + ["n_t=20"], work))
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_solve_rejects_fingerprint_mismatch(artifacts, tmp_path, capsys):
@@ -233,9 +257,9 @@ def test_full_persists_both_streams(tmp_path):
     state = persist.read_snapshots(tmp_path / "state.mor2snap")
     nonl = persist.read_snapshots(tmp_path / "nonlinearity.mor2snap")
     assert state.kind == "state" and nonl.kind == "nonlinearity"
-    assert len(state.matrices) == 8 and len(nonl.matrices) == 8
+    assert len(state.states) == 8 and len(nonl.states) == 8
     assert state.times[0] == 0.0
-    assert state.matrices[0].shape == (16, 16)
+    assert state.states[0].shape == (16, 16)
 
 
 def test_sweep_tau_reports_counts(tmp_path):

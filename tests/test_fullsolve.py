@@ -105,7 +105,7 @@ def test_run_full_stores_every_node_by_default():
     assert np.allclose(traj.times, grid.nodes)
     assert len(traj.states) == 7
     assert state.kind == "state" and nonl.kind == "nonlinearity"
-    assert len(state.matrices) == 7
+    assert len(state.states) == 7
 
 
 def test_run_full_stride_keeps_last_node():
@@ -120,8 +120,8 @@ def test_run_full_capture_subset():
     grid = fullsolve.TimeGrid(1.0, 4)
     traj, state, nonl = fullsolve.run_full(spec, grid, capture=[0.5, 1.0])
     assert np.allclose(state.times, [0.5, 1.0])
-    assert np.allclose(state.matrices[0], traj.states[2])
-    assert np.allclose(nonl.matrices[1],
+    assert np.allclose(state.states[0], traj.states[2])
+    assert np.allclose(nonl.states[1],
                        problems.eval_nonlinear(spec, traj.states[4], 1.0))
 
 
@@ -181,7 +181,7 @@ def test_trajectory_source_contents():
     state, nonl, seconds = fullsolve.trajectory_source(spec, times, "imex")
     assert seconds >= 0.0
     assert state.kind == "state" and nonl.kind == "nonlinearity"
-    assert len(state.matrices) == 9
+    assert len(state.states) == 9
     assert np.allclose(state.matrix(0), spec.U0)
     assert np.allclose(nonl.matrix(4),
                        problems.eval_nonlinear(spec, state.matrix(4), times[4]))
@@ -249,7 +249,7 @@ def test_trajectory_source_evaluates_f_once_per_node(monkeypatch):
     times = np.linspace(0.0, 1.0, 9)
     _, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
     assert calls == list(times)
-    assert len(nonl.matrices) == len(times)
+    assert len(nonl.states) == len(times)
 
 
 def test_divergence_step_index_matches_legacy():

@@ -228,35 +228,41 @@ def test_sylvester_shape_errors():
         kernels.solve_sylvester(np.ones((2, 3)), np.eye(3), np.ones((2, 3)))
 
 
-# ------------------------------------------------------------------- expm_apply
+# ------------------------------------------------------- matrix exponential
+
+def exp_step(prop, h, M):
+    """e^{hA} M e^{hB}: one etd step of prop = Propagator(A, B) at F = 0."""
+    _, U = kernels.etd_euler_update(prop, prop.to_coords(M), np.zeros_like(M), h)
+    return U
+
 
 def test_expm_apply_zero_step():
     rng = np.random.default_rng(51)
     A = rng.standard_normal((5, 5))
     A = A + A.T
     M = rng.standard_normal((5, 3))
-    out = kernels.expm_apply(kernels.sym_eig(A), 0.0, M)
+    out = exp_step(kernels.Propagator(A, np.zeros((3, 3))), 0.0, M)
     assert np.allclose(out, M, atol=1e-12)
 
 
 def test_expm_apply_diagonal_log2():
-    pair = kernels.sym_eig(np.diag([1.0, -1.0]))
-    out = kernels.expm_apply(pair, np.log(2.0), np.eye(2))
+    prop = kernels.Propagator(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+    out = exp_step(prop, np.log(2.0), np.eye(2))
     assert np.allclose(out, np.diag([2.0, 0.5]), atol=1e-12)
 
 
 def test_expm_apply_matches_pade_oracle():
     rng = np.random.default_rng(52)
+    zero = np.zeros((8, 8))
     for _ in range(5):
         S = rng.standard_normal((8, 8))
         S = 0.5 * (S + S.T)
         h = 0.3
-        out = kernels.expm_apply(kernels.sym_eig(S), h, np.eye(8))
+        out = exp_step(kernels.Propagator(S, zero), h, np.eye(8))
         assert np.allclose(out, oracles.pade_expm(h * S), atol=1e-10)
 
         G = rng.standard_normal((8, 8))
-        pair = kernels.general_eig(G)
-        out = kernels.expm_apply(pair, h, np.eye(8))
+        out = exp_step(kernels.Propagator(G, zero), h, np.eye(8))
         ref = oracles.pade_expm(h * G)
         assert np.linalg.norm(out - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -266,7 +272,7 @@ def test_expm_apply_right_side():
     B = rng.standard_normal((4, 4))
     B = B + B.T
     M = rng.standard_normal((6, 4))
-    out = kernels.expm_apply(kernels.sym_eig(B), 0.2, M, side="right")
+    out = exp_step(kernels.Propagator(np.zeros((6, 6)), B), 0.2, M)
     assert np.allclose(out, M @ oracles.pade_expm(0.2 * B), atol=1e-10)
 
 
@@ -274,17 +280,11 @@ def test_expm_apply_semigroup():
     rng = np.random.default_rng(54)
     A = rng.standard_normal((6, 6))
     A = A + A.T
-    pair = kernels.sym_eig(A)
+    prop = kernels.Propagator(A, np.zeros((6, 6)))
     M = np.eye(6)
-    once = kernels.expm_apply(pair, 0.7, M)
-    twice = kernels.expm_apply(pair, 0.3, kernels.expm_apply(pair, 0.4, M))
+    once = exp_step(prop, 0.7, M)
+    twice = exp_step(prop, 0.3, exp_step(prop, 0.4, M))
     assert np.linalg.norm(once - twice) <= 1e-9 * np.linalg.norm(once)
-
-
-def test_expm_apply_bad_side():
-    pair = kernels.sym_eig(np.eye(2))
-    with pytest.raises(ValueError):
-        kernels.expm_apply(pair, 1.0, np.eye(2), side="up")
 
 
 # ------------------------------------------------------------------------- phi1

@@ -4,13 +4,13 @@ import pytest
 import oracles
 from mor2 import deim, persist, pod
 from mor2.errors import FormatError
-from mor2.fullsolve import SnapshotStream
+from mor2.fullsolve import Trajectory
 
 
 def sample_stream(rng, kind="state", count=4, rows=5, cols=3):
     times = np.linspace(0.0, 1.0, count)
     mats = [rng.standard_normal((rows, cols)) for _ in range(count)]
-    return SnapshotStream(kind, times, mats)
+    return Trajectory(times, mats, kind)
 
 
 def sample_basis(rng, n=7, m=6, k1=3, k2=2, symmetric=False):
@@ -34,8 +34,8 @@ def test_snapshot_round_trip(tmp_path, kind):
     back = persist.read_snapshots(path)
     assert back.kind == kind
     assert np.array_equal(back.times, stream.times)
-    assert len(back.matrices) == len(stream.matrices)
-    for M, N in zip(stream.matrices, back.matrices):
+    assert len(back.states) == len(stream.states)
+    for M, N in zip(stream.states, back.states):
         assert M.dtype == np.float64 and np.array_equal(M, N)
 
 
@@ -58,14 +58,13 @@ def test_snapshot_write_rejects_unknown_kind(tmp_path):
 def test_snapshot_write_rejects_empty_stream(tmp_path):
     with pytest.raises(FormatError):
         persist.write_snapshots(tmp_path / "x.bin",
-                                SnapshotStream("state", np.array([]), []))
+                                Trajectory(np.array([]), []))
 
 
 def test_snapshot_write_rejects_ragged_shapes(tmp_path):
     rng = np.random.default_rng(153)
-    stream = SnapshotStream("state", np.array([0.0, 1.0]),
-                            [rng.standard_normal((3, 3)),
-                             rng.standard_normal((3, 4))])
+    stream = Trajectory(np.array([0.0, 1.0]),
+                        [rng.standard_normal((3, 3)), rng.standard_normal((3, 4))])
     with pytest.raises(FormatError):
         persist.write_snapshots(tmp_path / "x.bin", stream)
 

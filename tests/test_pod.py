@@ -8,7 +8,7 @@ from mor2.errors import DimensionError, InputError, MemoryGuardError
 
 def source_from(matrices, t_final=1.0):
     times = np.linspace(0.0, t_final, len(matrices))
-    return fullsolve.ArraySource(times, [np.asarray(M, float) for M in matrices])
+    return fullsolve.Trajectory(times, [np.asarray(M, float) for M in matrices])
 
 
 # ------------------------------------------------------------------- accumulate
@@ -116,29 +116,19 @@ def test_accumulate_symmetry_flag_latches():
 # -------------------------------------------------------------- error measures
 
 def test_inclusion_error_edge_cases():
-    acc = pod.TripletAccumulator.empty(3)
-    assert pod.inclusion_error(np.ones((2, 2)), acc) == 1.0
-    assert pod.inclusion_error(np.zeros((2, 2)), acc) == 0.0
+    acc = pod.accumulate(pod.TripletAccumulator.empty(3), np.diag([1.0, 0.0]))
+    basis = pod.prune(acc, 1e-3, 4)
+    assert pod.projection_error(np.diag([0.0, 1.0]), basis) == 1.0
+    assert pod.projection_error(np.zeros((2, 2)), basis) == 0.0
 
 
 def test_inclusion_error_in_span():
     rng = np.random.default_rng(84)
     X = oracles.random_orthonormal(rng, 8, 3) @ np.diag([3.0, 2.0, 1.0]) \
         @ oracles.random_orthonormal(rng, 8, 3).T
-    acc = pod.accumulate(pod.TripletAccumulator.empty(6), X)
-    assert pod.inclusion_error(X, acc) <= 1e-10
-    assert pod.inclusion_error(0.37 * X, acc) <= 1e-10
-
-
-def test_inclusion_error_matches_explicit_projector():
-    rng = np.random.default_rng(85)
-    acc = pod.TripletAccumulator.empty(5)
-    for _ in range(3):
-        acc = pod.accumulate(acc, rng.standard_normal((9, 7)))
-    Xi = rng.standard_normal((9, 7))
-    for norm in ("fro", "2"):
-        want = oracles.explicit_projection_error(Xi, acc.Vt, acc.Wh, norm)
-        assert np.isclose(pod.inclusion_error(Xi, acc, norm), want, atol=1e-12)
+    basis = pod.prune(pod.accumulate(pod.TripletAccumulator.empty(6), X), 1e-3, 4)
+    assert pod.projection_error(X, basis) <= 1e-10
+    assert pod.projection_error(0.37 * X, basis) <= 1e-10
 
 
 def test_projection_error_matches_explicit_projector():

@@ -184,23 +184,26 @@ def rom_and_matching_ref(rng, n_t=6):
                            np.ones(3), np.ones(3), 1e-3, 4, 3)
     times = np.linspace(0.0, 1.0, n_t + 1)
     states = [rng.standard_normal((3, 3)) for _ in times]
-    romtraj = rom.RomTrajectory(times, states)
-    ref = fullsolve.FullTrajectory(times.copy(),
-                                   [rom.lift(ubasis, Y) for Y in states], "etd")
+    romtraj = fullsolve.Trajectory(times, states, "reduced-state")
+    ref = fullsolve.Trajectory(times.copy(), [rom.lift(ubasis, Y) for Y in states])
     return ubasis, romtraj, ref
+
+
+def mean_error(ref, romtraj, ubasis):
+    return rom.relative_errors(ref, romtraj, lambda Y: rom.lift(ubasis, Y))[0]
 
 
 def test_average_error_zero_for_identical():
     rng = np.random.default_rng(139)
     ubasis, romtraj, ref = rom_and_matching_ref(rng)
-    assert rom.average_error(ref, romtraj, ubasis) <= 1e-14
+    assert mean_error(ref, romtraj, ubasis) <= 1e-14
 
 
 def test_average_error_one_for_zero_model():
     rng = np.random.default_rng(140)
     ubasis, romtraj, ref = rom_and_matching_ref(rng)
-    zero = rom.RomTrajectory(romtraj.times, [np.zeros((3, 3)) for _ in romtraj.states])
-    assert np.isclose(rom.average_error(ref, zero, ubasis), 1.0)
+    zero = fullsolve.Trajectory(romtraj.times, [np.zeros((3, 3)) for _ in romtraj.states])
+    assert np.isclose(mean_error(ref, zero, ubasis), 1.0)
 
 
 def test_average_error_initial_node_excluded():
@@ -208,7 +211,7 @@ def test_average_error_initial_node_excluded():
     ubasis, romtraj, ref = rom_and_matching_ref(rng)
     # corrupt only the shared initial state: the measure must ignore it
     romtraj.states[0] = romtraj.states[0] + 100.0
-    assert rom.average_error(ref, romtraj, ubasis) <= 1e-14
+    assert mean_error(ref, romtraj, ubasis) <= 1e-14
 
 
 def test_average_error_skips_zero_reference_nodes():
@@ -216,33 +219,51 @@ def test_average_error_skips_zero_reference_nodes():
     ubasis, romtraj, ref = rom_and_matching_ref(rng)
     ref.states[3] = np.zeros((9, 9))
     romtraj.states[3] = romtraj.states[3] + 50.0
-    assert rom.average_error(ref, romtraj, ubasis) <= 1e-14
+    assert mean_error(ref, romtraj, ubasis) <= 1e-14
 
 
 def test_average_error_requires_shared_nodes():
     rng = np.random.default_rng(143)
     ubasis, romtraj, ref = rom_and_matching_ref(rng)
-    off = rom.RomTrajectory(romtraj.times + 0.013, romtraj.states)
+    off = fullsolve.Trajectory(romtraj.times + 0.013, romtraj.states)
     with pytest.raises(DimensionError):
-        rom.average_error(ref, off, ubasis)
+        mean_error(ref, off, ubasis)
+
+
+def test_relative_errors_streamed_reference_matches_stored():
+    rng = np.random.default_rng(145)
+    ubasis, romtraj, ref = rom_and_matching_ref(rng, n_t=9)
+    romtraj.states[4] = romtraj.states[4] + 1.0
+
+    def lift(Y):
+        return rom.lift(ubasis, Y)
+
+    def running_mean(per_node):
+        total = 0.0
+        for _, e in per_node:
+            total += e
+        return total / len(per_node)
+
+    mean, per_node = rom.relative_errors(ref, romtraj, lift)
+    assert [t for t, _ in per_node] == list(ref.times[1:])
+    assert per_node[3][1] > 0.0 and mean == running_mean(per_node)
+    # a streamed reference, consumed once, on every third node only
+    stream = ((t, U.copy()) for t, U in zip(ref.times[::3], ref.states[::3]))
+    mean3, per_node3 = rom.relative_errors(stream, romtraj, lift)
+    assert per_node3 == per_node[2::3]
+    assert mean3 == running_mean(per_node3)
 
 
 def test_export_trajectory_csv(tmp_path):
     rng = np.random.default_rng(144)
-    ubasis, romtraj, ref = rom_and_matching_ref(rng)
+    _, romtraj, _ = rom_and_matching_ref(rng)
     path = tmp_path / "traj.csv"
-    rom.export_trajectory_csv(path, romtraj, ref, ubasis)
+    rom.export_trajectory_csv(path, romtraj)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["time", "frobenius_norm", "rel_error"]
     assert len(rows) == 1 + len(romtraj.times)
-    assert rows[1][2] == ""  # initial node carries no error
-    assert float(rows[2][2]) <= 1e-14
     assert np.isclose(float(rows[3][1]), np.linalg.norm(romtraj.states[2]))
-    bare = tmp_path / "bare.csv"
-    rom.export_trajectory_csv(bare, romtraj)
-    with open(bare, newline="") as fh:
-        rows = list(csv.reader(fh))
     assert all(r[2] == "" for r in rows[1:])
 
 
@@ -346,11 +367,13 @@ def test_average_error_vector_identical_zero():
     model, vb = vector_setup(spec)
     grid = fullsolve.TimeGrid(0.5, 5)
     traj = rom.run_online_vector(model, grid)
-    ref = fullsolve.FullTrajectory(
-        grid.nodes, [(vb.V @ y).reshape(3, 3, order="F") for y in traj.states], "etd")
-    assert rom.average_error_vector(ref, traj, vb) <= 1e-13
-    zero = rom.RomTrajectory(traj.times, [np.zeros_like(y) for y in traj.states])
-    assert np.isclose(rom.average_error_vector(ref, zero, vb), 1.0)
+    def lift(y):
+        return (vb.V @ y).reshape(vb.shape, order="F")
+
+    ref = fullsolve.Trajectory(grid.nodes, [lift(y) for y in traj.states])
+    assert rom.relative_errors(ref, traj, lift)[0] <= 1e-13
+    zero = fullsolve.Trajectory(traj.times, [np.zeros_like(y) for y in traj.states])
+    assert np.isclose(rom.relative_errors(ref, zero, lift)[0], 1.0)
 
 
 # ------------------------------------------------- against the legacy formula
