@@ -95,6 +95,7 @@ class RomDeimFactors:
     Sr: np.ndarray       # (k2, p2) = Wr_U^T Pr, plain column selection
     row_idx: np.ndarray
     col_idx: np.ndarray
+    points: tuple = None  # problems.sample_points of the indices, once known
 
 
 def precompute_rom_factors(ubasis, fbasis, op):
@@ -120,13 +121,14 @@ def reduced_nonlinear(factors, spec, Y, t):
     (Z = Sl Y Sr), the nonlinearity is evaluated entrywise there, and the
     result is compressed by the precomputed factors:  Ml f(Z) Mr.  When the
     factors are folded into complex eigen-coordinates, Z is real up to
-    rounding and its real part is evaluated.
+    rounding and its real part is evaluated.  The grid coordinates of the
+    samples come from factors.points when the factors carry them.
     """
     Z = factors.Sl @ Y @ factors.Sr
     if np.iscomplexobj(Z):
         Z = Z.real
-    Fz = problems.eval_nonlinear_at(spec, Z, factors.row_idx, factors.col_idx, t)
-    return factors.Ml @ Fz @ factors.Mr
+    points = factors.points or problems.sample_points(spec, factors.row_idx, factors.col_idx)
+    return factors.Ml @ spec.nonlinear(Z, *points, t) @ factors.Mr
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ Two first-order schemes are provided for  Udot = A U + U B + F(U, t):
 Both step through one kernels.Propagator built for the run: the state is
 kept in eigen-coordinates of A and B, so a step costs four dense
 multiplications (F mapped in, the state mapped out) plus a Hadamard update.
-B = A and B = A^T reuse A's eigendecomposition.  When an eigenvector basis
-is too ill conditioned the coordinates are real Schur bases instead.
+An operator of even size that is centrosymmetric (J A J = A, as the
+Dirichlet and periodic Laplacians are) is folded: its eigenproblem splits
+into two half-size ones, and its two multiplications become four half-size
+ones plus mirrored adds and subtracts, half the flops.  B = A and B = A^T
+reuse A's eigendecomposition.  When an eigenvector basis is too ill
+conditioned the coordinates are real Schur bases instead.
 """
 
 import time

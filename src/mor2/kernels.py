@@ -63,6 +63,8 @@ class EigenPair:
 
     For symmetric input Q is orthogonal, values are real ascending and
     ``inverse`` is simply Q^T.  For general input everything is complex.
+    The Propagator's pairs of centrosymmetric operators hold Q and Q^{-1}
+    as FoldedMatrix objects.
     """
 
     values: np.ndarray
@@ -234,6 +236,111 @@ def phi1(z):
     return out
 
 
+class FoldedMatrix:
+    """An n x n matrix kept as the two m x m blocks of one of the forms
+
+        K blkdiag(H1, H2)   (unfold=True, a map out of the coordinates),
+        blkdiag(H1, H2) K   (unfold=False, a map into them),
+
+    n = 2m, with K = [[I, J], [J, -I]] the butterfly of mirrored rows and J
+    the reversal of order; the 1/sqrt(2) that makes K orthogonal is carried
+    by the blocks.  A product with it is two half-size products plus O(n^2)
+    mirrored adds and subtracts.  It multiplies ndarrays with @ on either
+    side (X @ M as (M^T X^T)^T) and converts to a dense ndarray on request.
+    """
+
+    __array_ufunc__ = None     # so that X @ M defers to __rmatmul__
+
+    def __init__(self, H1, H2, unfold):
+        self.H1, self.H2, self.unfold = H1, H2, unfold
+        n = 2 * H1.shape[0]
+        self.shape = (n, n)
+        self.dtype = np.result_type(H1, H2)
+        self._T = None
+
+    @property
+    def T(self):
+        if self._T is None:     # no link back: a cycle would hold the blocks until gc runs
+            self._T = FoldedMatrix(self.H1.T, self.H2.T, not self.unfold)
+        return self._T
+
+    def lmul(self, X, out, spare):
+        """out = M X over the last two axes, through the scratch spare.
+
+        spare must differ from X and out; out may share X's memory when M
+        maps out, as X is then read before out is written.  The butterfly
+        reads and writes halves of rows; they are contiguous, and no buffer
+        is allocated, when X and spare (M maps in) or spare and out (M maps
+        out) are row-major.  A real out receives the real part.
+        """
+        m = self.H1.shape[0]
+        if self.unfold:
+            np.matmul(self.H1, X[..., :m, :], out=spare[..., :m, :])
+            np.matmul(self.H2, X[..., m:, :], out=spare[..., m:, :])
+            return _butterfly(spare if np.iscomplexobj(out) else spare.real, out)
+        _butterfly(X, spare)
+        np.matmul(self.H1, spare[..., :m, :], out=out[..., :m, :])
+        np.matmul(self.H2, spare[..., m:, :], out=out[..., m:, :])
+        return out
+
+    def rmul(self, X, out, spare):
+        """out = X M, as (M^T X^T)^T: lmul with the roles of rows and columns
+        swapped, so the arrays it names there should be column-major."""
+        self.T.lmul(*(np.swapaxes(a, -1, -2) for a in (X, out, spare)))
+        return out
+
+    def __matmul__(self, X):
+        X = np.asarray(X)
+        out = np.empty(X.shape, np.result_type(self.dtype, X))
+        return self.lmul(X, out, np.empty_like(out))
+
+    def __rmatmul__(self, X):
+        out = self.T @ np.swapaxes(np.asarray(X), -1, -2)
+        return np.ascontiguousarray(np.swapaxes(out, -1, -2))
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self @ np.eye(self.shape[0])
+        return dense if dtype is None else dense.astype(dtype)
+
+
+def _butterfly(X, out):
+    """out = [X1 + J X2; J X1 - X2] for X = [X1; X2] split at half height,
+    J the reversal of row order.  The mirrored halves are copied first, as
+    ufuncs would buffer a reversed operand."""
+    m = X.shape[-2] // 2
+    top, bot = X[..., :m, :], X[..., m:, :]
+    out_top, out_bot = out[..., :m, :], out[..., m:, :]
+    np.copyto(out_top, bot[..., ::-1, :])
+    np.copyto(out_bot, top[..., ::-1, :])
+    out_top += top
+    out_bot -= bot
+    return out
+
+
+def _eig_folded(A):
+    """eig_pair of A, taken from two half-size blocks when A is centrosymmetric.
+
+    For n = 2m and J A J = A, the orthogonal K0 = [[I, I], [J, -J]] / sqrt(2)
+    splits A into blkdiag(A11 + A12 J, A11 - A12 J) (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976), so the eigenvectors are K0 blkdiag(Q1, Q2) =
+    K blkdiag(Q1, J Q2) / sqrt(2), kept as FoldedMatrix blocks.  Odd n and
+    other matrices take eig_pair whole.
+    """
+    n = A.shape[0]
+    if n % 2 or not np.array_equal(A, A[::-1, ::-1]):
+        return eig_pair(A)
+    m = n // 2
+    A11, A12J = A[:m, :m], A[:m, m:][:, ::-1]
+    e1, e2 = eig_pair(A11 + A12J), eig_pair(A11 - A12J)
+    s = np.sqrt(0.5)
+    return EigenPair(
+        np.concatenate([e1.values, e2.values]),
+        FoldedMatrix(s * e1.vectors, s * e2.vectors[::-1], unfold=True),
+        FoldedMatrix(s * e1.inverse, s * e2.inverse[:, ::-1], unfold=False),
+        e1.symmetric and e2.symmetric,
+    )
+
+
 class Propagator:
     """First-order stepper for  U' = A U + U B + F  at frozen F, for one pair (A, B).
 
@@ -248,8 +355,13 @@ class Propagator:
 
     h phi1 of the eigenvalue sums is the quotient (e^{h (la_i + lb_j)} - 1) /
     (la_i + lb_j) that solves the step's Sylvester equation, finite also
-    where the sums vanish.  B = A reuses A's eigenbasis; B = A^T takes
-    (Qa^-1)^T and Qa^T as transposed views.  When an eigenbasis is too ill
+    where the sums vanish.  An operator of even size with J A J = A (J the
+    reversal of index order; the Dirichlet and periodic Laplacians) is
+    decomposed through its two half-size blocks, and its basis and inverse
+    are FoldedMatrix objects, which halve the cost of every map into or out
+    of the coordinates.  Each side folds on its own; other operators keep
+    dense bases.  B = A reuses A's eigenbasis; B = A^T takes (Qa^-1)^T and
+    Qa^T as transposed views.  When an eigenbasis (or a half's) is too ill
     conditioned the coordinates are the real Schur bases of A and B instead,
     and a step solves one quasi-triangular Sylvester equation.  The step
     factors are kept for the latest h only.
@@ -263,13 +375,13 @@ class Propagator:
         self.scheme = scheme
         self.fallback = False
         try:
-            eigA = eig_pair(A)
+            eigA = _eig_folded(A)
             if np.array_equal(B, A):
                 eigB = eigA
             elif np.array_equal(B, A.T):
                 eigB = EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T, eigA.symmetric)
             else:
-                eigB = eig_pair(B)
+                eigB = _eig_folded(B)
             self.Qa, self.Qa_inv, self.la = eigA.vectors, eigA.inverse, eigA.values
             self.Qb, self.Qb_inv, self.lb = eigB.vectors, eigB.inverse, eigB.values
         except ConditioningError:
@@ -295,9 +407,9 @@ class Propagator:
         return out.real if np.iscomplexobj(out) else out
 
     def work(self, like):
-        """Two scratch matrices shaped and typed like `like`, kept for reuse."""
+        """Two row-major scratch matrices shaped and typed like `like`, kept for reuse."""
         if self._work is None or self._work[0].shape != like.shape or self._work[0].dtype != like.dtype:
-            self._work = (np.empty_like(like), np.empty_like(like))
+            self._work = (np.empty(like.shape, like.dtype), np.empty(like.shape, like.dtype))
         return self._work
 
     def advance(self, Uhat, Fhat, h):
@@ -347,21 +459,47 @@ def etd_euler_update(prop, Uhat, F, h, out=None):
     """One full-order step of the propagator prop from coordinates Uhat.
 
     F is the nonlinearity at the current state, in physical coordinates.
-    Four n x n products: Fhat = Qa^-1 F Qb, the Hadamard update of prop, and
-    the new state U = Qa Uhat Qb^-1, written into out when given (a real
-    matrix; it may be the state F was evaluated at).  Uhat is advanced in
-    place and the intermediates go to prop's scratch matrices, so with out a
-    step allocates nothing.  Returns (Uhat, U).
+    Fhat = Qa^-1 F Qb, the Hadamard update of prop, and the new state
+    U = Qa Uhat Qb^-1, written into out when given (a real matrix; it may be
+    the state F was evaluated at).  With dense bases that is four n x n
+    products; each folded side replaces its two by four half-size ones.
+    Uhat is advanced in place and the intermediates go to prop's scratch
+    matrices P and R, laid out row- or column-major as the folds of the
+    side that reads them ask, so with out a step allocates nothing.
+    Returns (Uhat, U).
     """
-    tmp, Fhat = prop.work(Uhat)
-    np.matmul(prop.Qa_inv, F, out=tmp)
-    np.matmul(tmp, prop.Qb, out=Fhat)
+    P, R = prop.work(Uhat)
+    # The same scratch memory viewed column-major, for the folds of B's side.
+    Pc, Rc = (M.reshape(M.shape[::-1]).T for M in (P, R))
+    fold_a = isinstance(prop.Qa, FoldedMatrix)
+    fold_b = isinstance(prop.Qb, FoldedMatrix)
+    left = Rc if fold_b else R
+    if fold_a:
+        prop.Qa_inv.lmul(F, left, P)
+    else:
+        np.matmul(prop.Qa_inv, F, out=left)
+    if fold_b:
+        Fhat = prop.Qb.rmul(left, R, Pc)
+    else:
+        Fhat = np.matmul(left, prop.Qb, out=P)
     Uhat = prop.advance(Uhat, Fhat, h)
-    np.matmul(prop.Qa, Uhat, out=tmp)
-    if not np.iscomplexobj(tmp):
-        return Uhat, np.matmul(tmp, prop.Qb_inv, out=out)
-    np.matmul(tmp, prop.Qb_inv, out=Fhat)
+
     if out is None:
-        return Uhat, Fhat.real.copy()
-    np.copyto(out, Fhat.real)
+        out = np.empty(Uhat.shape)
+    if fold_a:      # Qb^-1 first, so that the last butterfly writes rows of out
+        if fold_b:
+            prop.Qb_inv.rmul(Uhat, Rc, Pc)
+        else:
+            np.matmul(Uhat, prop.Qb_inv, out=Rc)
+        prop.Qa.lmul(Rc, out, P)
+        return Uhat, out
+    np.matmul(prop.Qa, Uhat, out=R)
+    if fold_b:      # the butterfly writes columns: into Rc, then copied
+        prop.Qb_inv.rmul(R, Rc, Pc)
+        np.copyto(out, Rc.real)
+        return Uhat, out
+    if not np.iscomplexobj(R):
+        return Uhat, np.matmul(R, prop.Qb_inv, out=out)
+    np.matmul(R, prop.Qb_inv, out=P)
+    np.copyto(out, P.real)
     return Uhat, out

@@ -13,6 +13,8 @@ Basis container ("MOR2BAS"):
     optional interpolation trailer:
         p1 u32 | p2 u32 | row_idx u32 x p1 | col_idx u32 x p2 |
         (Pl^T Vl) f64 column-major | (Wr^T Pr) f64 column-major
+        with p1 = cols(Vl), p2 = cols(Wr), and distinct row (column)
+        indices below rows(Vl) (rows(Wr))
 
 Everything is little-endian.
 """
@@ -48,6 +50,14 @@ def _read(fh, n, what):
 def _read_matrix(fh, rows, cols, what):
     data = _read(fh, 8 * rows * cols, what)
     return np.frombuffer(data, dtype="<f8").reshape(rows, cols, order="F").copy()
+
+
+def _read_indices(fh, count, size, what):
+    """count distinct interpolation indices below size."""
+    idx = np.frombuffer(_read(fh, 4 * count, f"{what} indices"), dtype="<u4").astype(np.intp)
+    if np.any(idx >= size) or len(np.unique(idx)) != count:
+        raise FormatError(f"{what} indices are out of range [0, {size}) or repeated")
+    return idx
 
 
 def write_snapshots(path, traj):
@@ -111,7 +121,9 @@ def read_basis(path):
     """Load a BasisPair and, when present, its interpolation operator.
 
     The symmetric mark is not serialized; it is re-derived from the trailer
-    (identical row and column index sets) when one exists.
+    (identical row and column index sets) when one exists.  A trailer whose
+    point counts differ from the basis widths, or whose indices are out of
+    range or repeated, is a FormatError.
     """
     with open(path, "rb") as fh:
         header = _read(fh, struct.calcsize("<7sH"), "basis header")
@@ -135,8 +147,13 @@ def read_basis(path):
             if len(trailer) != 8:
                 raise FormatError("truncated interpolation trailer")
             p1, p2 = struct.unpack("<II", trailer)
-            row_idx = np.frombuffer(_read(fh, 4 * p1, "row indices"), dtype="<u4").astype(np.intp)
-            col_idx = np.frombuffer(_read(fh, 4 * p2, "column indices"), dtype="<u4").astype(np.intp)
+            if (p1, p2) != (Vl.shape[1], Wr.shape[1]):
+                raise FormatError(
+                    f"interpolation trailer has {p1} x {p2} points for bases of "
+                    f"width {Vl.shape[1]} and {Wr.shape[1]}"
+                )
+            row_idx = _read_indices(fh, p1, Vl.shape[0], "row")
+            col_idx = _read_indices(fh, p2, Wr.shape[0], "column")
             left = _read_matrix(fh, p1, p1, "row selection matrix")
             right = _read_matrix(fh, p2, p2, "column selection matrix")
             if fh.read(1):

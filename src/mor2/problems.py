@@ -102,6 +102,15 @@ def eval_nonlinear(spec, U, t):
     return spec.nonlinear(U, X, Y, t)
 
 
+def sample_points(spec, row_idx, col_idx):
+    """Grid coordinates of the sub-block row_idx x col_idx, as a column of x
+    and a row of y.  Non-entrywise right-hand sides are rejected, since F
+    cannot be evaluated on a sub-block of them."""
+    if not spec.elementwise:
+        raise StructureError("sampled evaluation requires an entrywise nonlinearity")
+    return spec.grid_x[np.asarray(row_idx)][:, None], spec.grid_y[np.asarray(col_idx)][None, :]
+
+
 def eval_nonlinear_at(spec, Z, row_idx, col_idx, t):
     """Evaluate F entrywise on the sub-block row_idx x col_idx.
 
@@ -109,11 +118,7 @@ def eval_nonlinear_at(spec, Z, row_idx, col_idx, t):
     entrywise nonlinearity this touches only len(row_idx)*len(col_idx)
     entries.  Non-entrywise right-hand sides are rejected.
     """
-    if not spec.elementwise:
-        raise StructureError("sampled evaluation requires an entrywise nonlinearity")
-    X = spec.grid_x[np.asarray(row_idx)][:, None]
-    Y = spec.grid_y[np.asarray(col_idx)][None, :]
-    return spec.nonlinear(Z, X, Y, t)
+    return spec.nonlinear(Z, *sample_points(spec, row_idx, col_idx), t)
 
 
 def _cubic_double_well(eps2):

@@ -46,7 +46,9 @@ def assemble_rom(spec, ubasis, factors):
     eigenbasis route needs no such separation because the near-cancelling
     directions go through the phi1 limit.  The eigenbases are folded into
     the interpolation factors, Sl Qa, Qb^-1 Sr, Qa^-1 Ml and Mr Qb, so the
-    sampled nonlinearity comes out in the propagator's coordinates.
+    sampled nonlinearity comes out in the propagator's coordinates.  The
+    grid coordinates of the samples are looked up here, once per model; a
+    non-entrywise F is rejected with StructureError.
     """
     Ak = ubasis.Vl.T @ spec.A @ ubasis.Vl
     Bk = ubasis.Wr.T @ spec.B @ ubasis.Wr
@@ -60,6 +62,7 @@ def assemble_rom(spec, ubasis, factors):
         prop.Qa_inv @ factors.Ml, factors.Mr @ prop.Qb,
         factors.Sl @ prop.Qa, prop.Qb_inv @ factors.Sr,
         factors.row_idx, factors.col_idx,
+        problems.sample_points(spec, factors.row_idx, factors.col_idx),
     )
     return ReducedModel(Ak, Bk, Y0, prop, folded, ubasis, spec)
 
@@ -81,14 +84,15 @@ def run_online(model, grid, blowup_norm=BLOWUP_NORM):
     nodes = grid.nodes
     tic = time.perf_counter()
     gain = np.linalg.norm(prop.Qa, 2) * np.linalg.norm(prop.Qb_inv, 2)
+    limit = (blowup_norm / gain) ** 2
     Yhat = prop.to_coords(model.Y0)
     coords = np.empty((len(nodes),) + Yhat.shape, dtype=Yhat.dtype)
     coords[0] = Yhat
     for i in range(1, len(nodes)):
         Yhat = etd_step(model, Yhat, nodes[i - 1], grid.h)
         # ||Y||_F <= gain ||Yhat||_F, so Y is formed only near the limit;
-        # "not <=" also catches NaN.
-        if not np.linalg.norm(Yhat) * gain <= blowup_norm:
+        # "not <=" also sends NaN and an overflowed square to the exact test.
+        if not np.vdot(Yhat, Yhat).real <= limit:
             nrm = np.linalg.norm(prop.to_physical(Yhat))
             if not nrm <= blowup_norm:
                 raise DivergenceError(

@@ -209,6 +209,21 @@ def test_solve_rejects_missing_artifact(artifacts, tmp_path, capsys):
     assert "artifact error" in capsys.readouterr().err
 
 
+def test_solve_rejects_out_of_range_interpolation_index(artifacts, tmp_path, capsys):
+    work = tmp_path / "badindex"
+    shutil.copytree(artifacts, work)
+    path = work / "f_basis.mor2bas"
+    fbasis, op = persist.read_basis(path)
+    (n, k1), (m, k2) = fbasis.Vl.shape, fbasis.Wr.shape
+    first_row = 9 + 8 + 8 * n * k1 + 8 + 8 * m * k2 + 8 * (k1 + k2) + 16 + 8
+    raw = bytearray(path.read_bytes())
+    assert int.from_bytes(raw[first_row:first_row + 4], "little") == op.row_idx[0]
+    raw[first_row:first_row + 4] = (10**6).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    assert "artifact error" in capsys.readouterr().err
+
+
 def test_reduce_maps_divergence_to_exit_3(tmp_path, capsys):
     # a stiff reaction on the coarse snapshot grid overflows the explicit part
     with np.errstate(over="ignore", invalid="ignore"):

@@ -222,18 +222,25 @@ def test_stepper_fallback_for_defective_operator():
 
 # ------------------------------------------------- against the legacy formula
 
-@pytest.mark.parametrize("name", ["ac1", "rdc"])
+# ac1 and ac2 fold (ac2's periodic Laplacian has degenerate eigenvalue pairs);
+# rdc and an odd n keep dense bases.  ac2 takes 100 steps: on 20 its explicit
+# cubic term (h / eps2^2 = 2.3) makes every route, the legacy one too, diverge.
+@pytest.mark.parametrize("name, n, n_t", [("ac1", 32, 20), ("rdc", 32, 20), ("ac2", 32, 100),
+                                          ("ac1", 33, 20)],
+                         ids=["ac1", "rdc", "ac2", "ac1-odd"])
 @pytest.mark.parametrize("scheme", ["etd", "imex"])
-def test_iter_full_matches_legacy_trajectory(name, scheme):
-    spec = problems.build_problem(name, 32)
-    grid = fullsolve.TimeGrid(spec.t_final, 20)
+def test_iter_full_matches_legacy_trajectory(name, n, n_t, scheme):
+    spec = problems.build_problem(name, n)
+    folded = isinstance(kernels.Propagator(spec.A, spec.B, scheme).Qa, kernels.FoldedMatrix)
+    assert folded == (name != "rdc" and n % 2 == 0)
+    grid = fullsolve.TimeGrid(spec.t_final, n_t)
     ref = oracles.legacy_full_trajectory(spec, kernels.eig_pair(spec.A),
                                          kernels.eig_pair(spec.B), grid.h, grid.n_t, scheme)
     count = 0
     for i, t, U in fullsolve.iter_full(spec, grid, scheme):
         assert np.linalg.norm(U - ref[i]) <= 1e-12 * np.linalg.norm(ref[i])
         count += 1
-    assert count == len(ref) == 21
+    assert count == len(ref) == n_t + 1
 
 
 def test_trajectory_source_evaluates_f_once_per_node(monkeypatch):

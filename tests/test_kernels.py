@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mor2 import kernels
+from mor2 import kernels, problems
 from mor2.errors import (
     ConditioningError,
     DimensionError,
@@ -423,3 +423,109 @@ def test_propagator_unknown_scheme():
     with pytest.raises(DimensionError):
         kernels.Propagator([[1.0]], [[1.0]], "rk4")
 
+
+
+# ------------------------------------------ folded (centrosymmetric) operators
+
+def _centrosymmetric(kind, n, rng):
+    """An n x n matrix with J A J = A: a Laplacian or a mirrored random matrix."""
+    if kind == "random":
+        M = 0.5 * rng.standard_normal((n, n))
+        return M + M[::-1, ::-1]
+    return problems.build_laplacian_1d(n, kind, coeff=0.02)
+
+
+def _check_folded(A, B, scheme, fold_a, fold_b):
+    """Two steps of Propagator(A, B), each against the dense eigenbasis
+    formula and the Kronecker-form oracle, to 1e-12."""
+    rng = np.random.default_rng(66)
+    prop = kernels.Propagator(A, B, scheme)
+    assert not prop.fallback
+    assert isinstance(prop.Qa, kernels.FoldedMatrix) == fold_a
+    assert isinstance(prop.Qb, kernels.FoldedMatrix) == fold_b
+    dense = oracles.legacy_etd_update if scheme == "etd" else oracles.legacy_imex_update
+    vectorized = oracles.vectorized_etd_step if scheme == "etd" else oracles.vectorized_imex_step
+    eigA, eigB = kernels.eig_pair(A), kernels.eig_pair(B)
+    h = 0.05
+    U = rng.standard_normal((A.shape[0], B.shape[0]))
+    Uhat = prop.to_coords(U)
+    out = np.empty_like(U)
+    for _ in range(2):      # the second step reuses the cached factors
+        F = np.sin(U)
+        Uhat, got = kernels.etd_euler_update(prop, Uhat, F, h, out=out)
+        assert got is out and np.isrealobj(got)
+        for want in (dense(eigA, eigB, U, F, h), vectorized(A, B, U, F, h)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        U = got.copy()
+
+
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+@pytest.mark.parametrize("kind", ["dirichlet", "periodic", "neumann", "random"])
+def test_folded_step_matches_dense_and_vectorized(kind, scheme):
+    rng = np.random.default_rng(67)
+    A = _centrosymmetric(kind, 8, rng)
+    _check_folded(A, A.copy(), scheme, True, True)                    # B = A
+    _check_folded(A, A.T.copy(), scheme, True, True)                  # B = A^T
+    B = rng.standard_normal((5, 5))
+    _check_folded(A, B + B.T, scheme, True, False)                    # B dense
+    _check_folded(B + B.T, A, scheme, False, True)                    # A dense
+
+
+def test_folded_halves_take_the_expected_solvers():
+    rng = np.random.default_rng(68)
+    for kind, symmetric in [("dirichlet", True), ("periodic", True), ("neumann", False)]:
+        A = _centrosymmetric(kind, 8, rng)
+        prop = kernels.Propagator(A, A, "etd")
+        assert np.isrealobj(prop.Qa) and np.isrealobj(prop.la)
+        Q, Qinv = np.asarray(prop.Qa), np.asarray(prop.Qa_inv)
+        assert np.linalg.norm(A @ Q - Q * prop.la) <= 1e-12 * np.linalg.norm(A)
+        assert np.linalg.norm(Qinv @ Q - np.eye(8)) <= 1e-12
+        assert np.allclose(Q.T @ Q, np.eye(8), atol=1e-12) == symmetric
+    # a mirrored random matrix has complex eigenpairs in its halves
+    A = _centrosymmetric("random", 8, rng)
+    assert np.iscomplexobj(kernels.Propagator(A, A, "etd").Qa)
+
+
+def test_folded_transposed_side_shares_the_blocks():
+    A = _centrosymmetric("neumann", 8, None)
+    prop = kernels.Propagator(A, A.T, "etd")
+    assert np.shares_memory(prop.Qb.H1, prop.Qa_inv.H1)
+    assert np.shares_memory(prop.Qb_inv.H2, prop.Qa.H2)
+    same = kernels.Propagator(A, A.copy(), "etd")
+    assert same.Qb is same.Qa and same.Qb_inv is same.Qa_inv
+
+
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_odd_size_keeps_dense_bases(scheme):
+    rng = np.random.default_rng(69)
+    A = _centrosymmetric("dirichlet", 7, rng)
+    prop = kernels.Propagator(A, A, scheme)
+    assert isinstance(prop.Qa, np.ndarray) and isinstance(prop.Qb, np.ndarray)
+    U = rng.standard_normal((7, 7))
+    F = np.cos(U)
+    vectorized = oracles.vectorized_etd_step if scheme == "etd" else oracles.vectorized_imex_step
+    want = vectorized(A, A, U, F, 0.05)
+    assert np.linalg.norm(_step(prop, U, F, 0.05) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_defective_half_takes_schur_fallback(scheme):
+    # J A J = A with halves A11 + A12 J = diag and A11 - A12 J a Jordan block
+    m = 3
+    J = np.eye(m)[::-1]
+    P1 = np.diag([-1.0, -2.0, -0.5])
+    P2 = np.array([[-1.5, 1.0, 0.0], [0.0, -1.5, 1.0], [0.0, 0.0, -1.5]])
+    A11, A12 = 0.5 * (P1 + P2), 0.5 * (P1 - P2) @ J
+    A = np.block([[A11, A12], [J @ A12 @ J, J @ A11 @ J]])
+    assert np.array_equal(A, A[::-1, ::-1])
+    with pytest.raises(ConditioningError):
+        kernels.general_eig(A11 - A12 @ J)
+    prop = kernels.Propagator(A, A, scheme)
+    assert prop.fallback
+    rng = np.random.default_rng(70)
+    U = rng.standard_normal((6, 6))
+    F = np.sin(U)
+    vectorized = oracles.vectorized_etd_step if scheme == "etd" else oracles.vectorized_imex_step
+    want = vectorized(A, A, U, F, 0.05)
+    for _ in range(2):      # the second step reuses the cached factors
+        assert np.linalg.norm(_step(prop, U, F, 0.05) - want) <= 1e-12 * np.linalg.norm(want)

@@ -208,3 +208,35 @@ def test_basis_read_rejects_trailing_bytes_after_trailer(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError):
         persist.read_basis(path)
+
+
+def _trailer_offset(basis):
+    """Byte offset of the first row index of a written basis file."""
+    (n, k1), (m, k2) = basis.Vl.shape, basis.Wr.shape
+    return 9 + 8 + 8 * n * k1 + 8 + 8 * m * k2 + 8 * (k1 + k2) + 16 + 8
+
+
+@pytest.mark.parametrize("field, value", [
+    ("row", 10**6),     # out of range
+    ("row", 8),         # one past the last row of Vl
+    ("col", None),      # a repeated column index
+    ("p1", 5),          # more points than basis columns
+])
+def test_basis_read_rejects_bad_interpolation_trailer(tmp_path, field, value):
+    rng = np.random.default_rng(164)
+    basis = sample_basis(rng, n=8, m=7, k1=4, k2=3)
+    op = deim.build_deim(basis)
+    path = tmp_path / "x.bin"
+    persist.write_basis(path, basis, op)
+    raw = bytearray(path.read_bytes())
+    at = _trailer_offset(basis)
+    if field == "row":
+        raw[at:at + 4] = value.to_bytes(4, "little")
+    elif field == "col":
+        first_col = at + 4 * op.p1
+        raw[first_col + 4:first_col + 8] = raw[first_col:first_col + 4]
+    else:
+        raw[at - 8:at - 4] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        persist.read_basis(path)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from conftest import (identity_model, identity_pair, make_spec, offline_pipeline, reduced_step,
                       stable_pair)
 from mor2 import deim, fullsolve, kernels, pod, problems, rom
-from mor2.errors import DimensionError, DivergenceError, SingularityError
+from mor2.errors import DimensionError, DivergenceError, SingularityError, StructureError
 
 
 def random_model(rng, spec, k1, k2, p1, p2):
@@ -39,6 +40,19 @@ def test_assemble_identity_bases_reproduce_operators():
     la, lb = np.linalg.eigvals(A), np.linalg.eigvals(B)
     sep = np.min(np.abs(la[:, None] + lb[None, :]))
     assert np.isclose(model.propagator.separation, sep)
+
+
+def test_assemble_looks_up_sample_points_once():
+    rng = np.random.default_rng(140)
+    A, B = stable_pair(rng, 6, 5, symmetric=True)
+    spec = make_spec(A, B, rng.standard_normal((6, 5)))
+    model, _, factors = random_model(rng, spec, 3, 2, 3, 3)
+    X, Y = model.factors.points
+    assert np.array_equal(X, spec.grid_x[factors.row_idx][:, None])
+    assert np.array_equal(Y, spec.grid_y[factors.col_idx][None, :])
+    blocked = dataclasses.replace(spec, elementwise=False)
+    with pytest.raises(StructureError):
+        rom.assemble_rom(blocked, model.ubasis, factors)
 
 
 def test_assemble_is_a_rayleigh_projection():
