@@ -7,159 +7,4 @@ the nonlinearity handled through two-sided interpolation so that no
 full-size matrix is ever formed.
 """
 
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    DimensionError,
-    DivergenceError,
-    FormatError,
-    InputError,
-    IntegrityError,
-    MemoryGuardError,
-    Mor2Error,
-    RankError,
-    SingularityError,
-    StructureError,
-)
-from .kernels import (
-    EigenPair,
-    FoldedMatrix,
-    Propagator,
-    SvdTriplet,
-    eig_pair,
-    etd_euler_update,
-    phi1,
-    pivoted_qr_indices,
-    solve_sylvester,
-    truncated_svd,
-)
-from .problems import (
-    AnalyticFunction,
-    ProblemSpec,
-    analytic_function,
-    build_problem,
-    eval_nonlinear,
-    eval_nonlinear_at,
-    sample_analytic,
-    sample_points,
-)
-from .fullsolve import (
-    AnalyticSource,
-    TimeGrid,
-    Trajectory,
-    iter_full,
-    run_full,
-    trajectory_source,
-)
-from .pod import (
-    BasisPair,
-    SelectionReport,
-    TripletAccumulator,
-    VectorBasis,
-    accumulate,
-    candidate_times,
-    dynamic_pod,
-    projection_error,
-    prune,
-    retained_count,
-    vanilla_pod,
-    vector_pod,
-)
-from .deim import (
-    DeimOperator,
-    RomDeimFactors,
-    VectorDeim,
-    build_deim,
-    deim_approximate,
-    precompute_rom_factors,
-    qdeim_bound,
-    reduced_nonlinear,
-    vector_deim,
-    vector_deim_apply,
-)
-from .rom import (
-    ReducedModel,
-    VectorReducedModel,
-    assemble_rom,
-    assemble_vector_rom,
-    lift,
-    relative_errors,
-    run_online,
-    run_online_vector,
-)
-from .persist import read_basis, read_snapshots, write_basis, write_snapshots
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticFunction",
-    "AnalyticSource",
-    "BasisPair",
-    "ConditioningError",
-    "ConfigError",
-    "DeimOperator",
-    "DimensionError",
-    "DivergenceError",
-    "EigenPair",
-    "FoldedMatrix",
-    "FormatError",
-    "InputError",
-    "IntegrityError",
-    "MemoryGuardError",
-    "Mor2Error",
-    "ProblemSpec",
-    "Propagator",
-    "RankError",
-    "ReducedModel",
-    "RomDeimFactors",
-    "SelectionReport",
-    "SingularityError",
-    "StructureError",
-    "SvdTriplet",
-    "TimeGrid",
-    "Trajectory",
-    "TripletAccumulator",
-    "VectorBasis",
-    "VectorDeim",
-    "VectorReducedModel",
-    "accumulate",
-    "analytic_function",
-    "assemble_rom",
-    "assemble_vector_rom",
-    "build_deim",
-    "build_problem",
-    "candidate_times",
-    "deim_approximate",
-    "dynamic_pod",
-    "eig_pair",
-    "etd_euler_update",
-    "eval_nonlinear",
-    "eval_nonlinear_at",
-    "projection_error",
-    "iter_full",
-    "lift",
-    "phi1",
-    "pivoted_qr_indices",
-    "precompute_rom_factors",
-    "prune",
-    "qdeim_bound",
-    "read_basis",
-    "read_snapshots",
-    "reduced_nonlinear",
-    "relative_errors",
-    "retained_count",
-    "run_full",
-    "run_online",
-    "run_online_vector",
-    "sample_analytic",
-    "sample_points",
-    "solve_sylvester",
-    "trajectory_source",
-    "truncated_svd",
-    "vanilla_pod",
-    "vector_deim",
-    "vector_deim_apply",
-    "vector_pod",
-    "write_basis",
-    "write_snapshots",
-]

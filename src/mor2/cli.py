@@ -6,12 +6,11 @@ Subcommands
     solve       integrate the reduced model from stored artifacts
     full        integrate the full model and persist snapshot streams
     sweep-tau   selection counts as the tolerance varies
-    bench       online per-step timing and storage counters across sizes
 
 Configuration is a flat key=value file; any key can be overridden on the
 command line with --set key=value.  Numeric report CSVs are byte-identical
 for identical config and seed; wall-clock measurements go to a JSON
-sidecar (run_info.json / bench timings) because they can never be.
+sidecar (run_info.json) because they can never be.
 
 Exit codes: 0 ok, 2 configuration, 3 numeric failure, 4 artifact integrity.
 """
@@ -63,11 +62,6 @@ class RunConfig:
     eps2: float = None
     test_times: int = 300
     taus: tuple = (1e-2, 1e-3, 1e-4)
-    bench_sizes: tuple = (128, 512, 1024)
-    bench_k: int = 6
-    bench_p: int = 8
-    bench_steps: int = 600
-    bench_n_max: int = 8
     online_repeats: int = 3
 
     def __post_init__(self):
@@ -100,12 +94,6 @@ class RunConfig:
             raise ConfigError("test_times must be positive")
         if not self.taus or not all(0.0 < t < 1.0 for t in self.taus):
             raise ConfigError("taus must be values strictly between 0 and 1")
-        if min(self.bench_k, self.bench_p, self.bench_steps) < 1:
-            raise ConfigError("bench_k, bench_p and bench_steps must be positive")
-        if self.bench_n_max < 4:
-            raise ConfigError("bench_n_max must be at least 4")
-        if any(n < max(self.bench_k, self.bench_p) for n in self.bench_sizes):
-            raise ConfigError("every bench size must be at least bench_k and bench_p")
         return self
 
 
@@ -124,10 +112,8 @@ def _coerce(name, kind, raw):
             return float(raw)
         if kind is tuple:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if name in ("taus",):
+            if name == "taus":
                 return tuple(float(p) for p in parts)
-            if name in ("bench_sizes",):
-                return tuple(int(p) for p in parts)
             return tuple(parts)
         return raw
     except ValueError as exc:
@@ -534,98 +520,15 @@ def cmd_sweep_tau(cfg):
 
 
 # ---------------------------------------------------------------------------
-# bench
 
-def _orthonormal_completion(V, k, rng):
-    """Pad an orthonormal matrix with random orthonormal columns up to k."""
-    n, have = V.shape
-    if have >= k:
-        return V[:, :k].copy()
-    G = rng.standard_normal((n, k - have))
-    G -= V @ (V.T @ G)
-    Q, _ = np.linalg.qr(G)
-    return np.hstack([V, Q[:, : k - have]])
+_COMMANDS = {
+    "funcapprox": cmd_funcapprox,
+    "reduce": cmd_reduce,
+    "solve": cmd_solve,
+    "full": cmd_full,
+    "sweep-tau": cmd_sweep_tau,
+}
 
-
-def fixed_rank_model(spec, n_max, kappa, tau, k, p, rng, tol=1e-3):
-    """Train bases, then force exact dimensions (k, k) and (p, p).
-
-    Used by timing benchmarks, where the reduced dimensions must agree
-    across grid sizes; padding keeps columns orthonormal.
-    """
-    times = pod.candidate_times(spec.t_final, n_max)
-    state_src, nonl_src, _ = fullsolve.trajectory_source(spec, times, "imex")
-    ub, urep = pod.dynamic_pod(state_src, tol, kappa, tau)
-    fb, frep = pod.dynamic_pod(nonl_src, tol, kappa, tau)
-    ub2 = pod.BasisPair(
-        _orthonormal_completion(ub.Vl, k, rng),
-        _orthonormal_completion(ub.Wr, k, rng),
-        np.ones(k), np.ones(k), tau, n_max, kappa,
-    )
-    fb2 = pod.BasisPair(
-        _orthonormal_completion(fb.Vl, p, rng),
-        _orthonormal_completion(fb.Wr, p, rng),
-        np.ones(p), np.ones(p), tau, n_max, kappa,
-    )
-    op = deim.build_deim(fb2)
-    factors = deim.precompute_rom_factors(ub2, fb2, op)
-    model = rom.assemble_rom(spec, ub2, factors)
-    storage = (urep.peak_storage_floats + frep.peak_storage_floats)
-    return model, storage, (state_src, nonl_src)
-
-
-def cmd_bench(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    timing_info = {}
-    for n in cfg.bench_sizes:
-        spec = problems.build_problem("ac1", n)
-        model, _, _ = fixed_rank_model(spec, cfg.bench_n_max, cfg.kappa,
-                                       cfg.tau, cfg.bench_k, cfg.bench_p, rng,
-                                       tol=cfg.tol)
-        grid = fullsolve.TimeGrid(spec.t_final, cfg.bench_steps)
-        secs = []
-        for _ in range(max(1, cfg.online_repeats)):
-            traj = rom.run_online(model, grid)
-            secs.append(traj.seconds)
-        per_step = float(np.median(secs)) / cfg.bench_steps
-        rows.append([n, cfg.bench_k, cfg.bench_p, per_step])
-        timing_info[str(n)] = {"per_step_seconds": per_step, "all_seconds": secs}
-        print(f"bench: n {n} per-step {per_step * 1e6:.1f} us "
-              f"(k={cfg.bench_k}, p={cfg.bench_p})")
-
-    # Storage comparison at the guard boundary.
-    n_cmp = 512
-    spec = problems.build_problem("ac1", n_cmp)
-    times = pod.candidate_times(spec.t_final, cfg.bench_n_max)
-    state_src, nonl_src, _ = fullsolve.trajectory_source(spec, times, "imex")
-    _, urep = pod.dynamic_pod(state_src, cfg.tol, cfg.kappa, cfg.tau)
-    _, frep = pod.dynamic_pod(nonl_src, cfg.tol, cfg.kappa, cfg.tau)
-    _, vurep = pod.vector_pod(state_src, cfg.tol, cfg.tau)
-    _, vfrep = pod.vector_pod(nonl_src, cfg.tol, cfg.tau)
-    dyn = urep.peak_storage_floats + frep.peak_storage_floats
-    vec = vurep.peak_storage_floats + vfrep.peak_storage_floats
-    ratio = vec / dyn
-    print(f"bench: snapshot storage at n={n_cmp}: dynamic {dyn} floats, "
-          f"vector {vec} floats, ratio {ratio:.1f}")
-
-    out = _out_dir(cfg)
-    with open(out / "bench_report.csv", "w", newline="") as fh:
-        for line in _config_echo(cfg):
-            fh.write(line + "\n")
-        fh.write("n,k,p,per_step_seconds\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]:.9e}\n")
-        fh.write(f"# storage_dynamic={dyn} storage_vector={vec} ratio={ratio:.3f}\n")
-    _write_json(out / "run_info.json", {
-        "command": "bench", "config": dataclasses.asdict(cfg),
-        "timings": timing_info,
-        "storage": {"dynamic_floats": dyn, "vector_floats": vec, "ratio": ratio},
-    })
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -633,7 +536,7 @@ def build_parser():
         description="Two-sided reduction of semilinear matrix differential equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("funcapprox", "reduce", "solve", "full", "sweep-tau", "bench"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -643,16 +546,6 @@ def build_parser():
         p.add_argument("--override-memory-guard", action="store_true",
                        help="allow vectorized baselines beyond the size guard")
     return parser
-
-
-_COMMANDS = {
-    "funcapprox": cmd_funcapprox,
-    "reduce": cmd_reduce,
-    "solve": cmd_solve,
-    "full": cmd_full,
-    "sweep-tau": cmd_sweep_tau,
-    "bench": cmd_bench,
-}
 
 
 def main(argv=None):

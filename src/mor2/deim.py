@@ -129,39 +129,3 @@ def reduced_nonlinear(factors, spec, Y, t):
         Z = Z.real
     points = factors.points or problems.sample_points(spec, factors.row_idx, factors.col_idx)
     return factors.Ml @ spec.nonlinear(Z, *points, t) @ factors.Mr
-
-
-# ---------------------------------------------------------------------------
-# Vectorized one-sided baseline.
-
-@dataclass
-class VectorDeim:
-    """Classic single-basis interpolant for vectorized snapshots."""
-
-    idx: np.ndarray
-    basis: np.ndarray          # (N, p)
-    lu: tuple
-    c: float
-    shape: tuple               # underlying matrix shape (rows, cols)
-
-    @property
-    def row_coords(self):
-        return self.idx % self.shape[0]
-
-    @property
-    def col_coords(self):
-        return self.idx // self.shape[0]
-
-
-def vector_deim(vbasis):
-    """Build the one-sided interpolant from a VectorBasis of nonlinearities."""
-    idx = kernels.pivoted_qr_indices(vbasis.V.T)
-    sel = vbasis.V[idx, :]
-    lu = _lu_or_raise(sel, "vector")
-    c = 1.0 / np.linalg.svd(sel, compute_uv=False)[-1]
-    return VectorDeim(idx, vbasis.V, lu, float(c), vbasis.shape)
-
-
-def vector_deim_apply(vd, f_full):
-    """Interpolate a full vectorized nonlinearity from its sampled entries."""
-    return vd.basis @ scipy.linalg.lu_solve(vd.lu, np.asarray(f_full)[vd.idx])

@@ -107,57 +107,6 @@ def _march(spec, times, scheme, h=None, f_at_last=False):
         yield i, t, U, F
 
 
-def _integrate(spec, times, scheme, capture_mask, store_mask, h=None):
-    """March through the given time nodes, recording what the masks ask for."""
-    stored_t, stored = [], []
-    cap_t, cap_state, cap_nonl = [], [], []
-    for i, t, U, F in _march(spec, times, scheme, h, f_at_last=capture_mask[-1]):
-        if store_mask[i] or capture_mask[i]:
-            U = U.copy()
-        if store_mask[i]:
-            stored_t.append(t)
-            stored.append(U)
-        if capture_mask[i]:
-            cap_t.append(t)
-            cap_state.append(U)
-            cap_nonl.append(F)
-
-    return (
-        Trajectory(np.array(stored_t), stored),
-        Trajectory(np.array(cap_t), cap_state),
-        Trajectory(np.array(cap_t), cap_nonl, "nonlinearity"),
-    )
-
-
-def run_full(spec, grid, scheme="imex", capture=None, store_stride=None):
-    """Integrate the full-order model over the grid.
-
-    capture: times at which state and nonlinearity snapshots are taken; must
-    coincide with grid nodes (default: every node).  store_stride controls
-    how densely the trajectory itself is kept; by default every node at
-    n <= 256 and every fifth node above.
-
-    Returns Trajectory objects (stored run, captured states, captured F).
-    """
-    nodes = grid.nodes
-    n = spec.A.shape[0]
-    if store_stride is None:
-        store_stride = 1 if n <= 256 else 5
-    store_mask = np.zeros(len(nodes), dtype=bool)
-    store_mask[::store_stride] = True
-    store_mask[-1] = True
-
-    capture_mask = np.ones(len(nodes), dtype=bool)
-    if capture is not None:
-        capture_mask[:] = False
-        for t in np.atleast_1d(capture):
-            j = int(np.argmin(np.abs(nodes - t)))
-            if abs(nodes[j] - t) > 1e-9 * max(grid.h, 1e-300):
-                raise DimensionError(f"capture time {t} is not a grid node")
-            capture_mask[j] = True
-    return _integrate(spec, nodes, scheme, capture_mask, store_mask, grid.h)
-
-
 def iter_full(spec, grid, scheme="imex"):
     """Yield (index, time, state) along the grid without storing the run.
 
@@ -180,6 +129,9 @@ def trajectory_source(spec, times, scheme="imex"):
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
         raise DimensionError("times must be strictly increasing")
     tic = time.perf_counter()
-    mask = np.ones(len(times), dtype=bool)
-    _, state, nonl = _integrate(spec, times, scheme, mask, np.zeros_like(mask))
-    return state, nonl, time.perf_counter() - tic
+    states, nonls = [], []
+    for _, _, U, F in _march(spec, times, scheme, f_at_last=True):
+        states.append(U.copy())
+        nonls.append(F)
+    return (Trajectory(times, states), Trajectory(times, nonls, "nonlinearity"),
+            time.perf_counter() - tic)

@@ -177,45 +177,6 @@ def eig_pair(A, cond_limit=EIG_COND_LIMIT):
     return general_eig(A, cond_limit=cond_limit)
 
 
-def _spectra_min_sum(A, B):
-    la = np.linalg.eigvals(A)
-    lb = np.linalg.eigvals(B)
-    return float(np.min(np.abs(la[:, None] + lb[None, :])))
-
-
-def solve_sylvester(A, B, C, overlap_tol=OVERLAP_TOL):
-    """Solve A X + X B = C for X.
-
-    Symmetric A and B take the eigenbasis route (one Hadamard division);
-    the general case defers to the Schur-based Bartels-Stewart solver.
-    Raises SingularityError when the spectra of A and -B nearly meet.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if A.shape[0] != A.shape[1] or B.shape[0] != B.shape[1]:
-        raise DimensionError("A and B must be square")
-    if C.shape != (A.shape[0], B.shape[0]):
-        raise DimensionError("C shape must match (rows of A, rows of B)")
-    for name, arr in (("A", A), ("B", B), ("C", C)):
-        _check_finite(name, arr)
-
-    sep = _spectra_min_sum(A, B)
-    scale = np.linalg.norm(A) + np.linalg.norm(B)
-    if sep < overlap_tol * max(scale, 1e-300):
-        raise SingularityError(
-            f"spectra of A and -B overlap: min |lambda_i + mu_j| = {sep:.3e}"
-        )
-
-    if is_symmetric(A) and is_symmetric(B):
-        ea = sym_eig(A)
-        eb = sym_eig(B)
-        Chat = ea.inverse @ C @ eb.vectors
-        denom = ea.values[:, None] + eb.values[None, :]
-        return ea.vectors @ (Chat / denom) @ eb.inverse
-    return scipy.linalg.solve_sylvester(A, B, C)
-
-
 def phi1(z):
     """First exponential-integrator kernel (e^z - 1) / z, with phi1(0) = 1."""
     z = np.atleast_1d(np.asarray(z))
@@ -277,7 +238,7 @@ class FoldedMatrix:
         if self.unfold:
             np.matmul(self.H1, X[..., :m, :], out=spare[..., :m, :])
             np.matmul(self.H2, X[..., m:, :], out=spare[..., m:, :])
-            return _butterfly(spare if np.iscomplexobj(out) else spare.real, out)
+            return _butterfly(spare, out)
         _butterfly(X, spare)
         np.matmul(self.H1, spare[..., :m, :], out=out[..., :m, :])
         np.matmul(self.H2, spare[..., m:, :], out=out[..., m:, :])
@@ -305,11 +266,19 @@ class FoldedMatrix:
 
 def _butterfly(X, out):
     """out = [X1 + J X2; J X1 - X2] for X = [X1; X2] split at half height,
-    J the reversal of row order.  The mirrored halves are copied first, as
-    ufuncs would buffer a reversed operand."""
+    J the reversal of row order.  A real out receives the real part of a
+    complex X; a complex out of a real X is written through its real part,
+    its imaginary part zeroed.  No operand is cast and the mirrored halves
+    are copied first, since ufuncs would buffer a cast or reversed operand."""
     m = X.shape[-2] // 2
+    dst = out
+    if np.iscomplexobj(X) and not np.iscomplexobj(out):
+        X = X.real
+    elif np.iscomplexobj(out) and not np.iscomplexobj(X):
+        out.imag = 0.0
+        dst = out.real
     top, bot = X[..., :m, :], X[..., m:, :]
-    out_top, out_bot = out[..., :m, :], out[..., m:, :]
+    out_top, out_bot = dst[..., :m, :], dst[..., m:, :]
     np.copyto(out_top, bot[..., ::-1, :])
     np.copyto(out_bot, top[..., ::-1, :])
     out_top += top

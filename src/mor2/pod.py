@@ -427,22 +427,21 @@ class VectorBasis:
 VECTOR_GUARD_DIM = 512
 
 
-def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False,
-               guard_dim=VECTOR_GUARD_DIM):
+def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False):
     """Vectorized single-basis baseline over the same three phases.
 
     Each included snapshot is stacked column-major into a tall snapshot
     matrix whose tau-truncated left singular basis doubles as the inclusion
     test space, mirroring the matrix route: a node joins when the truncated
     basis misses it by more than tol.  Refuses matrices larger than
-    guard_dim per side unless override_guard is set, since storage grows
-    with n^2 per snapshot.
+    VECTOR_GUARD_DIM per side unless override_guard is set, since storage
+    grows with n^2 per snapshot.
     """
     shape = source.matrix(0).shape
-    if max(shape) > guard_dim and not override_guard:
+    if max(shape) > VECTOR_GUARD_DIM and not override_guard:
         raise MemoryGuardError(
             f"vectorized snapshots at n = {max(shape)} exceed the desk-scale "
-            f"guard ({guard_dim}); pass override_memory_guard to force"
+            f"guard ({VECTOR_GUARD_DIM}); pass override_memory_guard to force"
         )
     times = np.asarray(source.times, dtype=float)
     if adaptive:

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import deim, kernels, problems
 from .errors import DimensionError, DivergenceError
@@ -144,60 +143,3 @@ def export_trajectory_csv(path, romtraj):
         writer.writerow(["time", "frobenius_norm", "rel_error"])
         for t, Y in romtraj:
             writer.writerow([f"{t:.12e}", f"{np.linalg.norm(Y):.12e}", ""])
-
-
-# ---------------------------------------------------------------------------
-# Vectorized baseline: classic single-basis reduction of the stacked system.
-
-@dataclass
-class VectorReducedModel:
-    """Reduced model of the column-stacked system  udot = L u + f(u, t)."""
-
-    Lk: np.ndarray
-    propagator: kernels.Propagator   # of (Lk, 0): the vector system as one column
-    y0: np.ndarray
-    Mf: np.ndarray           # (k, p) nonlinearity compression
-    Srows: np.ndarray        # (p, k) sampled rows of the state basis
-    row_coords: np.ndarray
-    col_coords: np.ndarray
-    basis: np.ndarray        # (N, k)
-    spec: problems.ProblemSpec
-
-
-def assemble_vector_rom(spec, vbasis, vdeim_op):
-    """Project the Kronecker-form operator onto the vectorized state basis."""
-    n, m = spec.U0.shape
-    V = vbasis.V
-    k = V.shape[1]
-    V3 = V.reshape(n, m, k, order="F")
-    W3 = np.einsum("ij,jlk->ilk", spec.A, V3) + np.einsum("ilk,lj->ijk", V3, spec.B)
-    Lk = V.T @ W3.reshape(n * m, k, order="F")
-    y0 = V.T @ spec.U0.ravel(order="F")
-    Mf = scipy.linalg.lu_solve(vdeim_op.lu, (V.T @ vdeim_op.basis).T, trans=1).T
-    Srows = V[vdeim_op.idx, :]
-    return VectorReducedModel(
-        Lk, kernels.Propagator(Lk, np.zeros((1, 1))), y0, Mf, Srows, vdeim_op.row_coords, vdeim_op.col_coords, V, spec
-    )
-
-
-def run_online_vector(model, grid, blowup_norm=BLOWUP_NORM):
-    """Exponential Euler on the reduced vector system."""
-    spec = model.spec
-    xs = spec.grid_x[model.row_coords]
-    ys = spec.grid_y[model.col_coords]
-    prop = model.propagator
-    y = model.y0.copy()
-    yhat = prop.to_coords(y[:, None])
-    states = [y]
-    tic = time.perf_counter()
-    for i in range(1, grid.n_t + 1):
-        fk = model.Mf @ spec.nonlinear(model.Srows @ y, xs, ys, grid.nodes[i - 1])
-        yhat, Y = kernels.etd_euler_update(prop, yhat, fk[:, None], grid.h)
-        y = Y[:, 0]
-        nrm = np.linalg.norm(y)
-        if not np.isfinite(nrm) or nrm > blowup_norm:
-            raise DivergenceError(
-                f"reduced vector state blew up at step {i} (||y|| = {nrm:.3e})", step=i
-            )
-        states.append(y)
-    return Trajectory(grid.nodes.copy(), states, "reduced-state", time.perf_counter() - tic)

@@ -86,6 +86,47 @@ def stable_pair(rng, n, m, symmetric=True):
     return A, B
 
 
+def run_full(spec, grid, scheme="imex"):
+    """The full-order run on the grid with every node kept: iter_full's states, copied."""
+    return fullsolve.Trajectory(grid.nodes, [U.copy() for _, _, U in
+                                             fullsolve.iter_full(spec, grid, scheme)])
+
+
+def _orthonormal_completion(V, k, rng):
+    """Pad an orthonormal matrix with random orthonormal columns up to k."""
+    n, have = V.shape
+    if have >= k:
+        return V[:, :k].copy()
+    G = rng.standard_normal((n, k - have))
+    G -= V @ (V.T @ G)
+    Q, _ = np.linalg.qr(G)
+    return np.hstack([V, Q[:, : k - have]])
+
+
+def fixed_rank_model(spec, n_max, kappa, tau, k, p, rng, tol=1e-3):
+    """Train bases, then force exact dimensions (k, k) and (p, p).
+
+    For timing across grid sizes, where the reduced dimensions must agree;
+    padding keeps columns orthonormal.
+    """
+    times = pod.candidate_times(spec.t_final, n_max)
+    state_src, nonl_src, _ = fullsolve.trajectory_source(spec, times, "imex")
+    ub, _ = pod.dynamic_pod(state_src, tol, kappa, tau)
+    fb, _ = pod.dynamic_pod(nonl_src, tol, kappa, tau)
+    ub2 = pod.BasisPair(
+        _orthonormal_completion(ub.Vl, k, rng),
+        _orthonormal_completion(ub.Wr, k, rng),
+        np.ones(k), np.ones(k), tau, n_max, kappa,
+    )
+    fb2 = pod.BasisPair(
+        _orthonormal_completion(fb.Vl, p, rng),
+        _orthonormal_completion(fb.Wr, p, rng),
+        np.ones(p), np.ones(p), tau, n_max, kappa,
+    )
+    op = deim.build_deim(fb2)
+    return rom.assemble_rom(spec, ub2, deim.precompute_rom_factors(ub2, fb2, op))
+
+
 def full_step(spec, U, t, h, scheme):
     """One full-order step through a Propagator, from and to physical coordinates."""
     prop = kernels.Propagator(spec.A, spec.B, scheme)

@@ -75,6 +75,13 @@ def greedy_pivot_oracle(Bt):
     return np.array(chosen)
 
 
+def vector_deim(V):
+    """One-sided DEIM of an orthonormal basis V (N, p) of vectorized snapshots:
+    f -> V (P^T V)^-1 P^T f, with P the p rows greedy pivoting picks from V^T."""
+    idx = greedy_pivot_oracle(V.T)
+    return lambda f: V @ np.linalg.solve(V[idx], f[idx])
+
+
 def sylvester_kron_oracle(A, B, C):
     """Solve A X + X B = C through the stacked system (I (x) A + B^T (x) I)."""
     A = np.asarray(A, dtype=float)

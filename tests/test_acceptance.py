@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import identity_model, make_spec, reduced_step, stable_pair
-from mor2 import cli, deim, fullsolve, kernels, pod, problems, rom
+from conftest import (fixed_rank_model, identity_model, make_spec, reduced_step, run_full,
+                      stable_pair)
+from mor2 import deim, fullsolve, kernels, pod, problems, rom
+from mor2.errors import ConditioningError
 
 
 def report(num, ok, detail):
@@ -162,7 +164,7 @@ def test_criterion_05_identity_reduction_collapses_to_full_solver():
     grid = fullsolve.TimeGrid(spec.t_final, 120)
     model, ubasis = identity_model(spec)
     romtraj = rom.run_online(model, grid)
-    ref, _, _ = fullsolve.run_full(spec, grid, scheme="etd")
+    ref = run_full(spec, grid, scheme="etd")
     worst = 0.0
     for U, Y in zip(ref.states, romtraj.states):
         worst = max(worst, np.linalg.norm(U - rom.lift(ubasis, Y))
@@ -173,7 +175,26 @@ def test_criterion_05_identity_reduction_collapses_to_full_solver():
                   f"node error {worst:.2e}")
 
 
+def _refuse(A):
+    raise ConditioningError("eigenbasis refused")
+
+
+def imex_solve(A, B, C, h, schur):
+    """X with (I - hA) X - h X B = C: one imex step of Propagator(A, B) from C
+    at F = 0, in eigen-coordinates or, with the eigensolver made to refuse,
+    in real Schur coordinates."""
+    with pytest.MonkeyPatch.context() as mp:
+        if schur:
+            mp.setattr(kernels, "eig_pair", _refuse)
+        prop = kernels.Propagator(A, B, "imex")
+    assert prop.fallback == schur
+    return kernels.etd_euler_update(prop, prop.to_coords(C), np.zeros_like(C), h)[1]
+
+
 def test_criterion_06_sylvester_residuals_and_diagonal_forms():
+    # The Sylvester solve the library runs is the imex step; every instance
+    # goes through both of its routes.
+    h = 0.1
     rng = np.random.default_rng(1006)
     worst_res = 0.0
     for i in range(200):
@@ -181,11 +202,13 @@ def test_criterion_06_sylvester_residuals_and_diagonal_forms():
         q = int(rng.integers(1, 25))
         A, B = stable_pair(rng, p, q, symmetric=(i % 2 == 0))
         C = rng.standard_normal((p, q))
-        X = kernels.solve_sylvester(A, B, C)
-        res = np.linalg.norm(A @ X + X @ B - C)
-        allow = 1e-8 * (np.linalg.norm(A) + np.linalg.norm(B)) \
-            * np.linalg.norm(X) + 1e-12 * np.linalg.norm(C)
-        worst_res = max(worst_res, res - allow)
+        M, N = np.eye(p) - h * A, -h * B
+        for schur in (False, True):
+            X = imex_solve(A, B, C, h, schur)
+            res = np.linalg.norm(M @ X + X @ N - C)
+            allow = 1e-8 * (np.linalg.norm(M) + np.linalg.norm(N)) \
+                * np.linalg.norm(X) + 1e-12 * np.linalg.norm(C)
+            worst_res = max(worst_res, res - allow)
     worst_diag = 0.0
     for _ in range(40):
         p = int(rng.integers(1, 12))
@@ -193,13 +216,15 @@ def test_criterion_06_sylvester_residuals_and_diagonal_forms():
         a = rng.uniform(0.5, 3.0, p)
         b = rng.uniform(0.5, 3.0, q)
         C = rng.standard_normal((p, q))
-        X = kernels.solve_sylvester(np.diag(a), np.diag(b), C)
-        closed = C / (a[:, None] + b[None, :])
-        worst_diag = max(worst_diag, np.abs(X - closed).max())
+        closed = C / (1.0 - h * (a[:, None] + b[None, :]))
+        for schur in (False, True):
+            X = imex_solve(np.diag(a), np.diag(b), C, h, schur)
+            worst_diag = max(worst_diag, np.abs(X - closed).max())
     ok = worst_res <= 0.0 and worst_diag <= 1e-12
-    report(6, ok, f"200 dense solves stayed inside the residual budget "
-                  f"(worst overshoot {worst_res:.2e}); 40 diagonal closed "
-                  f"forms matched to {worst_diag:.2e}")
+    report(6, ok, f"200 imex Sylvester steps (I - hA) X - h X B = C, each in "
+                  f"eigen and in Schur coordinates, stayed inside the residual "
+                  f"budget (worst overshoot {worst_res:.2e}); 40 diagonal "
+                  f"closed forms matched to {worst_diag:.2e}")
 
 
 def test_criterion_07_symmetric_stream_preserves_structure():
@@ -247,8 +272,7 @@ def test_criterion_08_linear_runs_reproduce_semigroup():
     x = problems.grid_1d(n, "dirichlet", 0.0, 2.0 * np.pi)
     spec = make_spec(L, L.copy(), 0.05 * np.outer(np.sin(x), np.cos(x)),
                      t_final=2.0)
-    traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(2.0, 16),
-                                    scheme="etd")
+    traj = run_full(spec, fullsolve.TimeGrid(2.0, 16), scheme="etd")
     for node in (8, 16):
         t = traj.times[node]
         E = oracles.pade_expm(t * L)
@@ -262,8 +286,7 @@ def test_criterion_08_linear_runs_reproduce_semigroup():
     Sb = rng.standard_normal((64, 64))
     B = (Sb - Sb.T) - 0.8 * np.eye(64)
     spec2 = make_spec(A, B, rng.standard_normal((64, 64)), t_final=1.0)
-    traj2, _, _ = fullsolve.run_full(spec2, fullsolve.TimeGrid(1.0, 10),
-                                     scheme="etd")
+    traj2 = run_full(spec2, fullsolve.TimeGrid(1.0, 10), scheme="etd")
     want = oracles.pade_expm(A) @ spec2.U0 @ oracles.pade_expm(B)
     worst = max(worst, np.linalg.norm(traj2.states[-1] - want)
                 / np.linalg.norm(want))
@@ -278,7 +301,7 @@ def test_criterion_09_interface_formation_end_to_end(ac1_64):
     model = rom.assemble_rom(spec, ac1_64["ubasis"], ac1_64["factors"])
     grid = fullsolve.TimeGrid(spec.t_final, 300)
     romtraj = rom.run_online(model, grid)
-    ref, _, _ = fullsolve.run_full(spec, grid, scheme="etd")
+    ref = run_full(spec, grid, scheme="etd")
     err, _ = rom.relative_errors(ref, romtraj, lambda Y: rom.lift(ac1_64["ubasis"], Y))
     ub, urep = ac1_64["ubasis"], ac1_64["urep"]
     ok = err <= 1e-3
@@ -325,7 +348,7 @@ def test_criterion_11_reaction_convection_end_to_end(rdc_64):
     model = rom.assemble_rom(spec, rdc_64["ubasis"], rdc_64["factors"])
     grid = fullsolve.TimeGrid(spec.t_final, 300)
     romtraj = rom.run_online(model, grid)
-    ref, _, _ = fullsolve.run_full(spec, grid, scheme="etd")
+    ref = run_full(spec, grid, scheme="etd")
     err, _ = rom.relative_errors(ref, romtraj, lambda Y: rom.lift(rdc_64["ubasis"], Y))
     urep = rdc_64["urep"]
     ok = err <= 1e-3 and urep.phases_used == 1
@@ -374,7 +397,7 @@ def test_criterion_14_online_cost_bands_and_storage_scaling():
     models = {}
     for n in (128, 512, 1024):
         spec = problems.build_problem("ac1", n)
-        models[n], _, _ = cli.fixed_rank_model(spec, 8, 50, 1e-3, 6, 8, rng)
+        models[n] = fixed_rank_model(spec, 8, 50, 1e-3, 6, 8, rng)
     # The sizes are timed in alternation, after every model is built, so a
     # change of machine speed during the test (or the spin of idle BLAS
     # threads after a build) reaches all sizes alike.

@@ -73,15 +73,15 @@ def test_load_config_file_with_overrides(tmp_path):
     ["norm=spectral"],
     ["snapshot_scheme=rk4"],
     ["badpair"],
-    ["bench_steps=0"],
-    ["bench_k=0"],
+    ["reference_scheme=rk4"],
+    ["reference=maybe"],
     ["test_times=0"],
     ["taus=0,1e-3"],
     ["taus="],
-    ["bench_n_max=3"],
-    ["bench_sizes=16,24", "bench_p=20"],
-    ["bench_p=0"],
-    ["bench_sizes=16,24", "bench_k=20"],
+    ["tau=abc"],
+    ["taus=1e-2,abc"],
+    ["taus=1e-2,1.0"],
+    ["bench_k=6"],          # not a configuration key: old config files are refused
 ])
 def test_load_config_rejects(sets):
     with pytest.raises(ConfigError):
@@ -289,20 +289,3 @@ def test_sweep_tau_reports_counts(tmp_path):
     assert len(vec) == 2 and vec[1] >= vec[0]  # tighter tau keeps more
     assert all(n >= 1 for n in info["counts"]["dynamic"])
 
-
-# -------------------------------------------------------------------- bench
-
-def test_bench_times_and_storage(tmp_path):
-    sets = ["bench_sizes=16,24", "bench_k=3", "bench_p=4", "bench_steps=10",
-            "online_repeats=2", "kappa=12", "n_max=8"]
-    rc = cli.main(argv("bench", sets, tmp_path))
-    assert rc == 0
-    lines = (tmp_path / "bench_report.csv").read_text().splitlines()
-    data = [l for l in lines if l and not l.startswith("#")]
-    assert data[0] == "n,k,p,per_step_seconds"
-    assert len(data) == 3
-    assert lines[-1].startswith("# storage_dynamic=")
-    info = json.loads((tmp_path / "run_info.json").read_text())
-    assert info["storage"]["ratio"] > 1.0
-    for n in (16, 24):
-        assert info["timings"][str(n)]["per_step_seconds"] > 0.0

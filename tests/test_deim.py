@@ -239,35 +239,6 @@ def test_reduced_nonlinear_accuracy_near_training_states(rdc_64):
 
 # ---------------------------------------------------------------- vector route
 
-def test_vector_deim_canonical():
-    N = 12
-    vb = pod.VectorBasis(np.eye(N)[:, :4].copy(), np.ones(4), (3, 4), 1e-3, 8)
-    vd = deim.vector_deim(vb)
-    assert list(vd.idx) == [0, 1, 2, 3]
-    assert np.isclose(vd.c, 1.0)
-    assert np.array_equal(vd.row_coords, [0, 1, 2, 0])
-    assert np.array_equal(vd.col_coords, [0, 0, 0, 1])
-
-
-def test_vector_deim_full_basis_exact():
-    rng = np.random.default_rng(122)
-    Q = oracles.random_orthonormal(rng, 10, 10)
-    vb = pod.VectorBasis(Q, np.ones(10), (5, 2), 1e-3, 8)
-    vd = deim.vector_deim(vb)
-    f = rng.standard_normal(10)
-    assert np.allclose(deim.vector_deim_apply(vd, f), f, atol=1e-11)
-
-
-def test_vector_deim_exact_on_span():
-    rng = np.random.default_rng(123)
-    Q = oracles.random_orthonormal(rng, 20, 4)
-    vb = pod.VectorBasis(Q, np.ones(4), (4, 5), 1e-3, 8)
-    vd = deim.vector_deim(vb)
-    f = Q @ rng.standard_normal(4)
-    assert np.allclose(deim.vector_deim_apply(vd, f), f, atol=1e-11)
-    assert vd.c <= deim.qdeim_bound(20, 4)
-
-
 def test_vector_and_matrix_routes_comparable_accuracy():
     # fitted to the same full snapshot set, the two interpolants should land
     # within an order of magnitude of each other on held-out samples
@@ -277,7 +248,7 @@ def test_vector_and_matrix_routes_comparable_accuracy():
     mbasis, _ = pod.vanilla_pod(src, 20, 1e-4)
     mop = deim.build_deim(mbasis)
     vbasis, _ = pod.vector_pod(src, 1e-4, 1e-4, adaptive=False)
-    vop = deim.vector_deim(vbasis)
+    vinterp = oracles.vector_deim(vbasis.V)
 
     rng = np.random.default_rng(124)
     err_m, err_v = [], []
@@ -285,7 +256,7 @@ def test_vector_and_matrix_routes_comparable_accuracy():
         F = problems.sample_analytic(fn, t)
         nrm = np.linalg.norm(F)
         err_m.append(np.linalg.norm(F - deim.deim_approximate(mop, mbasis, F)) / nrm)
-        fv = deim.vector_deim_apply(vop, F.ravel(order="F"))
+        fv = vinterp(F.ravel(order="F"))
         err_v.append(np.linalg.norm(F.ravel(order="F") - fv) / nrm)
     em = max(np.mean(err_m), 1e-10)
     ev = max(np.mean(err_v), 1e-10)

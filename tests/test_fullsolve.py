@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import full_step, make_spec, stable_pair
+from conftest import full_step, make_spec, run_full, stable_pair
 from mor2 import fullsolve, kernels, problems
 from mor2.errors import DimensionError, DivergenceError
 
@@ -35,7 +35,7 @@ def test_imex_step_scalar_closed_form():
     want = (u0 + h * c) / (1.0 - h * (a + b))
     out = full_step(spec, spec.U0, 0.0, h, "imex")
     assert np.allclose(out, [[want]], atol=1e-13)
-    traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
+    traj = run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
     assert np.allclose(traj.states[-1], [[want]], atol=1e-13)
 
 
@@ -48,7 +48,7 @@ def test_imex_step_matches_kron_oracle():
     F = problems.eval_nonlinear(spec, U0, 0.0)
     ref = oracles.vectorized_imex_step(A, B, U0, F, h)
     assert np.allclose(full_step(spec, U0, 0.0, h, "imex"), ref, atol=1e-10)
-    traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
+    traj = run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
     assert np.allclose(traj.states[-1], ref, atol=1e-10)
 
 
@@ -60,7 +60,7 @@ def test_imex_step_general_eigenbasis():
     h = 0.02
     F = problems.eval_nonlinear(spec, U0, 0.0)
     ref = oracles.vectorized_imex_step(A, B, U0, F, h)
-    traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
+    traj = run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
     assert np.linalg.norm(traj.states[-1] - ref) <= 1e-8 * max(np.linalg.norm(ref), 1.0)
 
 
@@ -81,7 +81,7 @@ def test_etd_exact_on_linear_problem():
     A, B = stable_pair(rng, 4, 3, symmetric=True)
     U0 = rng.standard_normal((4, 3))
     spec = make_spec(A, B, U0, t_final=0.8)
-    traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(0.8, 7), scheme="etd")
+    traj = run_full(spec, fullsolve.TimeGrid(0.8, 7), scheme="etd")
     want = oracles.pade_expm(0.8 * A) @ U0 @ oracles.pade_expm(0.8 * B)
     assert np.linalg.norm(traj.states[-1] - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
 
@@ -91,49 +91,16 @@ def test_imex_first_order_convergence():
     exact = np.exp(-3.0)
     errs = []
     for n_t in (64, 128):
-        traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(1.0, n_t), scheme="imex")
+        traj = run_full(spec, fullsolve.TimeGrid(1.0, n_t), scheme="imex")
         errs.append(abs(traj.states[-1][0, 0] - exact))
     assert 1.8 <= errs[0] / errs[1] <= 2.2
 
 
 # ----------------------------------------------------------------- full runs
 
-def test_run_full_stores_every_node_by_default():
-    spec = make_spec(np.diag([-1.0, -2.0]), [[-1.0]], np.ones((2, 1)))
-    grid = fullsolve.TimeGrid(1.0, 6)
-    traj, state, nonl = fullsolve.run_full(spec, grid)
-    assert np.allclose(traj.times, grid.nodes)
-    assert len(traj.states) == 7
-    assert state.kind == "state" and nonl.kind == "nonlinearity"
-    assert len(state.states) == 7
-
-
-def test_run_full_stride_keeps_last_node():
-    spec = make_spec(np.diag([-1.0, -2.0]), [[-1.0]], np.ones((2, 1)))
-    grid = fullsolve.TimeGrid(1.0, 7)
-    traj, _, _ = fullsolve.run_full(spec, grid, store_stride=3)
-    assert np.allclose(traj.times, grid.nodes[[0, 3, 6, 7]])
-
-
-def test_run_full_capture_subset():
-    spec = make_spec(np.diag([-1.0, -2.0]), [[-1.0]], np.ones((2, 1)))
-    grid = fullsolve.TimeGrid(1.0, 4)
-    traj, state, nonl = fullsolve.run_full(spec, grid, capture=[0.5, 1.0])
-    assert np.allclose(state.times, [0.5, 1.0])
-    assert np.allclose(state.states[0], traj.states[2])
-    assert np.allclose(nonl.states[1],
-                       problems.eval_nonlinear(spec, traj.states[4], 1.0))
-
-
-def test_run_full_capture_must_hit_node():
-    spec = make_spec([[-1.0]], [[-1.0]], [[1.0]])
-    with pytest.raises(DimensionError):
-        fullsolve.run_full(spec, fullsolve.TimeGrid(1.0, 4), capture=[0.3])
-
-
 def test_run_full_zero_steps():
     spec = make_spec([[-1.0]], [[-1.0]], [[2.0]])
-    traj, state, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(1.0, 0))
+    traj = run_full(spec, fullsolve.TimeGrid(1.0, 0))
     assert len(traj.states) == 1
     assert np.allclose(traj.states[0], [[2.0]])
 
@@ -141,16 +108,16 @@ def test_run_full_zero_steps():
 def test_run_full_unknown_scheme():
     spec = make_spec([[-1.0]], [[-1.0]], [[1.0]])
     with pytest.raises(DimensionError):
-        fullsolve.run_full(spec, fullsolve.TimeGrid(1.0, 2), scheme="rk4")
+        run_full(spec, fullsolve.TimeGrid(1.0, 2), scheme="rk4")
 
 
-def test_iter_full_matches_run_full():
+def test_iter_full_matches_trajectory_source():
     rng = np.random.default_rng(75)
     A, B = stable_pair(rng, 4, 4, symmetric=True)
     spec = make_spec(A, B, rng.standard_normal((4, 4)),
                      nonlinear=lambda U, X, Y, t: 0.1 * U**2)
     grid = fullsolve.TimeGrid(0.5, 8)
-    traj, _, _ = fullsolve.run_full(spec, grid, scheme="etd")
+    traj, _, _ = fullsolve.trajectory_source(spec, grid.nodes, "etd")
     for i, t, U in fullsolve.iter_full(spec, grid, scheme="etd"):
         assert np.isclose(t, traj.times[i])
         assert np.allclose(U, traj.states[i], atol=1e-12)
@@ -200,7 +167,7 @@ def test_divergence_raises_with_step_index():
                      nonlinear=lambda U, X, Y, t: U**3, t_final=20.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            fullsolve.run_full(spec, fullsolve.TimeGrid(20.0, 20), scheme="imex")
+            run_full(spec, fullsolve.TimeGrid(20.0, 20), scheme="imex")
     assert err.value.step is not None
 
 
@@ -212,10 +179,10 @@ def test_stepper_fallback_for_defective_operator():
     spec = make_spec(A, B, U0, nonlinear=lambda U, X, Y, t: np.sin(U))
     h = 0.1
     F = problems.eval_nonlinear(spec, U0, 0.0)
-    traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
+    traj = run_full(spec, fullsolve.TimeGrid(h, 1), scheme="imex")
     ref = oracles.vectorized_imex_step(A, B, U0, F, h)
     assert np.allclose(traj.states[-1], ref, atol=1e-10)
-    traj, _, _ = fullsolve.run_full(spec, fullsolve.TimeGrid(h, 1), scheme="etd")
+    traj = run_full(spec, fullsolve.TimeGrid(h, 1), scheme="etd")
     ref = oracles.vectorized_etd_step(A, B, U0, F, h)
     assert np.allclose(traj.states[-1], ref, atol=1e-9)
 
@@ -270,6 +237,6 @@ def test_divergence_step_index_matches_legacy():
             ref = oracles.legacy_full_trajectory(spec, kernels.eig_pair(A), kernels.eig_pair(spec.B),
                                                  grid.h, grid.n_t, scheme)
             with pytest.raises(DivergenceError) as err:
-                fullsolve.run_full(spec, grid, scheme=scheme)
+                run_full(spec, grid, scheme=scheme)
         assert 1 < len(ref) - 1 < grid.n_t      # the legacy run diverged mid-run
         assert err.value.step == len(ref) - 1

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from conftest import full_step, make_spec
 from mor2 import kernels, problems
 from mor2.errors import (
     ConditioningError,
@@ -177,19 +180,24 @@ def test_eig_pair_dispatch():
     assert not kernels.eig_pair(np.array([[1.0, 1.0], [0.0, 2.0]])).symmetric
 
 
-# -------------------------------------------------------------- solve_sylvester
+# ------------------------------------------------------------ Sylvester solves
+
+def sylvester(M, N, C):
+    """X with M X + X N = C: one imex step (h = 1, F = 0) of Propagator(I - M, -N)."""
+    return full_step(make_spec(np.eye(len(M)) - M, -N, C), C, 0.0, 1.0, "imex")
+
 
 def test_sylvester_identity_halves():
     rng = np.random.default_rng(41)
     C = rng.standard_normal((2, 2))
-    X = kernels.solve_sylvester(np.eye(2), np.eye(2), C)
+    X = sylvester(np.eye(2), np.eye(2), C)
     assert np.allclose(X, C / 2.0, atol=1e-13)
 
 
 def test_sylvester_diagonal_closed_form():
     A = np.diag([1.0, 3.0])
     B = np.diag([3.0, 4.0])
-    X = kernels.solve_sylvester(A, B, np.ones((2, 2)))
+    X = sylvester(A, B, np.ones((2, 2)))
     want = np.array([[1.0 / 4.0, 1.0 / 5.0], [1.0 / 6.0, 1.0 / 7.0]])
     assert np.allclose(X, want, atol=1e-12)
 
@@ -208,7 +216,7 @@ def test_sylvester_matches_kron_oracle():
         A = A + (np.linalg.norm(A, 2) + 1.0) * np.eye(n)
         B = B + (np.linalg.norm(B, 2) + 1.0) * np.eye(m)
         C = rng.standard_normal((n, m))
-        X = kernels.solve_sylvester(A, B, C)
+        X = sylvester(A, B, C)
         resid = np.linalg.norm(A @ X + X @ B - C)
         scale = (np.linalg.norm(A) + np.linalg.norm(B)) * np.linalg.norm(X)
         assert resid <= 1e-8 * scale + 1e-12 * np.linalg.norm(C)
@@ -218,14 +226,7 @@ def test_sylvester_matches_kron_oracle():
 
 def test_sylvester_overlapping_spectra():
     with pytest.raises(SingularityError):
-        kernels.solve_sylvester(np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
-
-
-def test_sylvester_shape_errors():
-    with pytest.raises(DimensionError):
-        kernels.solve_sylvester(np.eye(2), np.eye(3), np.eye(2))
-    with pytest.raises(DimensionError):
-        kernels.solve_sylvester(np.ones((2, 3)), np.eye(3), np.ones((2, 3)))
+        sylvester(np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
 
 
 # ------------------------------------------------------- matrix exponential
@@ -469,6 +470,29 @@ def test_folded_step_matches_dense_and_vectorized(kind, scheme):
     B = rng.standard_normal((5, 5))
     _check_folded(A, B + B.T, scheme, True, False)                    # B dense
     _check_folded(B + B.T, A, scheme, False, True)                    # A dense
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "periodic", "random"])
+def test_folded_step_allocates_no_state(kind):
+    # the random kind has complex halves: a real state with complex scratch
+    rng = np.random.default_rng(65)
+    A = _centrosymmetric(kind, 64, rng)
+    prop = kernels.Propagator(A, A, "etd")
+    assert isinstance(prop.Qa, kernels.FoldedMatrix)
+    assert np.iscomplexobj(prop.Qa) == (kind == "random")
+    U = rng.standard_normal((64, 64))
+    F = np.sin(U)
+    Uhat, U = kernels.etd_euler_update(prop, prop.to_coords(U), F, 0.05, out=U)
+    tracemalloc.start()
+    try:
+        Uhat, U = kernels.etd_euler_update(prop, Uhat, F, 0.05, out=U)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * U.nbytes
+    # the coordinates stay those of the real state, with no imaginary part
+    # left over in the scratch from the step before
+    assert np.linalg.norm(prop.to_coords(U) - Uhat) <= 1e-12 * np.linalg.norm(Uhat)
 
 
 def test_folded_halves_take_the_expected_solvers():

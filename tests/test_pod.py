@@ -410,7 +410,7 @@ def test_vector_pod_memory_guard():
     basis, _ = pod.vector_pod(source_from([X] * 8), 1e-3, 1e-3, override_guard=True)
     assert basis.k == 1
     with pytest.raises(MemoryGuardError):
-        pod.vector_pod(source_from([np.eye(5)] * 8), 1e-3, 1e-3, guard_dim=4)
+        pod.vector_pod(source_from([np.zeros((513, 513))] * 8), 1e-3, 1e-3)
 
 
 def test_vector_pod_non_adaptive_takes_all():

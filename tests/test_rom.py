@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import (identity_model, identity_pair, make_spec, offline_pipeline, reduced_step,
-                      stable_pair)
+                      run_full, stable_pair)
 from mor2 import deim, fullsolve, kernels, pod, problems, rom
 from mor2.errors import DimensionError, DivergenceError, SingularityError, StructureError
 
@@ -288,7 +288,7 @@ def test_identity_bases_collapse_to_full_etd():
     model, ubasis = identity_model(spec)
     grid = fullsolve.TimeGrid(spec.t_final, 60)
     romtraj = rom.run_online(model, grid)
-    ref, _, _ = fullsolve.run_full(spec, grid, scheme="etd")
+    ref = run_full(spec, grid, scheme="etd")
     worst = 0.0
     for Uref, Y in zip(ref.states, romtraj.states):
         worst = max(worst, np.linalg.norm(Uref - rom.lift(ubasis, Y))
@@ -321,68 +321,17 @@ def test_symmetric_stream_preserves_state_symmetry():
         assert np.linalg.norm(U - U.T) <= 1e-9 * max(np.linalg.norm(U), 1e-300)
 
 
-# ----------------------------------------------------------------- vector route
-
-def vector_setup(spec):
-    n, m = spec.U0.shape
-    N = n * m
-    vb = pod.VectorBasis(np.eye(N), np.ones(N), (n, m), 1e-3, 4)
-    vd = deim.vector_deim(vb)
-    return rom.assemble_vector_rom(spec, vb, vd), vb
-
-
-def test_assemble_vector_rom_identity_projection():
-    rng = np.random.default_rng(145)
-    A, B = stable_pair(rng, 3, 4, symmetric=True)
-    spec = make_spec(A, B, rng.standard_normal((3, 4)))
-    model, _ = vector_setup(spec)
-    assert np.allclose(model.Lk, oracles.kron_operator(A, B), atol=1e-12)
-    assert np.allclose(model.y0, spec.U0.ravel(order="F"))
-
-
-def test_vector_rom_linear_semigroup():
-    rng = np.random.default_rng(146)
-    A, B = stable_pair(rng, 3, 3, symmetric=True)
-    spec = make_spec(A, B, rng.standard_normal((3, 3)), t_final=0.5)
-    model, _ = vector_setup(spec)
-    traj = rom.run_online_vector(model, fullsolve.TimeGrid(0.5, 6))
-    want = oracles.pade_expm(0.5 * oracles.kron_operator(A, B)) @ model.y0
-    assert np.linalg.norm(traj.states[-1] - want) <= 1e-9 * np.linalg.norm(want)
-
-
-def test_vector_rom_matches_matrix_rom_at_identity():
-    rng = np.random.default_rng(147)
-    A, B = stable_pair(rng, 3, 3, symmetric=True)
-    spec = make_spec(A, B, 0.4 * rng.standard_normal((3, 3)),
-                     nonlinear=lambda U, X, Y, t: U - U**3, t_final=0.5)
-    mmodel, ubasis = identity_model(spec)
-    vmodel, vb = vector_setup(spec)
-    grid = fullsolve.TimeGrid(0.5, 10)
-    mtraj = rom.run_online(mmodel, grid)
-    vtraj = rom.run_online_vector(vmodel, grid)
-    for Ym, yv in zip(mtraj.states, vtraj.states):
-        Um = rom.lift(ubasis, Ym)
-        Uv = (vb.V @ yv).reshape(3, 3, order="F")
-        assert np.linalg.norm(Um - Uv) <= 1e-9 * max(np.linalg.norm(Um), 1e-300)
-
-
-def test_run_online_vector_divergence_guard():
-    spec = make_spec([[5.0]], [[5.0]], [[1.0]], t_final=4.0)
-    model, _ = vector_setup(spec)
-    with pytest.raises(DivergenceError) as err:
-        rom.run_online_vector(model, fullsolve.TimeGrid(4.0, 4))
-    assert err.value.step == 3
-
+# ------------------------------------------------------------- error measure
 
 def test_average_error_vector_identical_zero():
+    # the lift may map any reduced representation, here vectorized states
     rng = np.random.default_rng(148)
-    A, B = stable_pair(rng, 3, 3, symmetric=True)
-    spec = make_spec(A, B, rng.standard_normal((3, 3)), t_final=0.5)
-    model, vb = vector_setup(spec)
     grid = fullsolve.TimeGrid(0.5, 5)
-    traj = rom.run_online_vector(model, grid)
+    traj = fullsolve.Trajectory(grid.nodes, [rng.standard_normal(9) for _ in grid.nodes],
+                                "reduced-state")
+
     def lift(y):
-        return (vb.V @ y).reshape(vb.shape, order="F")
+        return y.reshape((3, 3), order="F")
 
     ref = fullsolve.Trajectory(grid.nodes, [lift(y) for y in traj.states])
     assert rom.relative_errors(ref, traj, lift)[0] <= 1e-13
