@@ -9,7 +9,7 @@ Subcommands
 
 Configuration is a flat key=value file; any key can be overridden on the
 command line with --set key=value.  Numeric report CSVs are byte-identical
-for identical config and seed; wall-clock measurements go to a JSON
+for identical configurations; wall-clock measurements go to a JSON
 sidecar (run_info.json) because they can never be.
 
 Exit codes: 0 ok, 2 configuration, 3 numeric failure, 4 artifact integrity.
@@ -53,7 +53,6 @@ class RunConfig:
     reference_scheme: str = "etd"
     reference: bool = True
     methods: tuple = ("dynamic",)
-    seed: int = 0
     out: str = "out"
     override_memory_guard: bool = False
     norm: str = "fro"
@@ -81,6 +80,8 @@ class RunConfig:
             raise ConfigError("n_t must be positive")
         if self.kappa < 1:
             raise ConfigError("kappa must be positive")
+        if not self.methods:
+            raise ConfigError(f"methods must name at least one of {METHODS}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown methods {bad}; choose from {METHODS}")
@@ -94,6 +95,8 @@ class RunConfig:
             raise ConfigError("test_times must be positive")
         if not self.taus or not all(0.0 < t < 1.0 for t in self.taus):
             raise ConfigError("taus must be values strictly between 0 and 1")
+        if self.online_repeats < 1:
+            raise ConfigError("online_repeats must be positive")
         return self
 
 
@@ -411,7 +414,7 @@ def cmd_solve(cfg):
     model = rom.assemble_rom(spec, ubasis, factors)
     grid = fullsolve.TimeGrid(spec.t_final, cfg.n_t)
 
-    runs = [rom.run_online(model, grid) for _ in range(max(1, cfg.online_repeats))]
+    runs = [rom.run_online(model, grid) for _ in range(cfg.online_repeats)]
     online_seconds = float(np.median([r.seconds for r in runs]))
     traj = runs[-1]
 
@@ -542,7 +545,6 @@ def build_parser():
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--override-memory-guard", action="store_true",
                        help="allow vectorized baselines beyond the size guard")
     return parser
@@ -553,8 +555,6 @@ def main(argv=None):
     sets = list(args.set)
     if args.out is not None:
         sets.append(f"out={args.out}")
-    if args.seed is not None:
-        sets.append(f"seed={args.seed}")
     if args.override_memory_guard:
         sets.append("override_memory_guard=true")
     try:

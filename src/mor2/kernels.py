@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import (
     ConditioningError,
@@ -26,11 +25,12 @@ SYM_REL_TOL = 1e-10        # relative asymmetry accepted by symmetric paths
 RANK_TOL = 1e-12           # pivot threshold relative to ||Bt||_F
 OVERLAP_TOL = 1e-12        # spectral-overlap threshold for Sylvester solves
 EIG_COND_LIMIT = 1e12      # max acceptable condition number of an eigenbasis
-DENSE_SVD_MAX = 512        # largest dimension solved by a full dense SVD
-LANCZOS_TOL = 1e-10        # convergence tolerance of the iterative SVD path
+DENSE_SVD_MAX = 256        # largest dimension solved by a full dense SVD
+NEGLIGIBLE_REL = 1e-14     # singular values below this share of sigma_1 count as zero
+RANGE_BLOCK = 32           # first block width of the randomized range finder
 
-# Fixed start vector seed keeps the Lanczos path deterministic run to run.
-_LANCZOS_SEED = 20240901
+# A fixed seed keeps the randomized SVD deterministic run to run.
+_RANGE_SEED = 20240901
 
 
 def _check_finite(name, arr):
@@ -50,11 +50,16 @@ def is_symmetric(A, rel_tol=SYM_REL_TOL):
 
 @dataclass(frozen=True)
 class SvdTriplet:
-    """Leading singular triplets: U (m, r), S (r,) nonincreasing, V (n, r)."""
+    """Leading singular triplets: U (m, r), S (r,) nonincreasing, V (n, r).
+
+    tail is a certified upper bound on the first singular value not
+    returned (0 when none is left).
+    """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
+    tail: float
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,10 @@ class EigenPair:
     """Eigendecomposition A = Q diag(values) Q^{-1}.
 
     For symmetric input Q is orthogonal, values are real ascending and
-    ``inverse`` is simply Q^T.  For general input everything is complex.
-    The Propagator's pairs of centrosymmetric operators hold Q and Q^{-1}
-    as FoldedMatrix objects.
+    ``inverse`` is simply Q^T.  A tridiagonal matrix similar to a symmetric
+    one has real values and a real, non-orthogonal Q.  For other general
+    input everything is complex.  The Propagator's pairs of
+    centrosymmetric operators hold Q and Q^{-1} as FoldedMatrix objects.
     """
 
     values: np.ndarray
@@ -73,12 +79,17 @@ class EigenPair:
     symmetric: bool
 
 
-def truncated_svd(M, r, dense_max=DENSE_SVD_MAX, lanczos_tol=LANCZOS_TOL):
-    """Leading r singular triplets of a dense matrix.
+def truncated_svd(M, r):
+    """Leading singular triplets of a dense matrix, at most r of them.
 
-    Uses one full LAPACK SVD and truncates while min(m, n) stays at desk
-    scale (<= dense_max); switches to the iterative Lanczos solver above
-    that, with a fixed start vector so results are reproducible.
+    Up to min(m, n) = DENSE_SVD_MAX this is one LAPACK SVD truncated to r,
+    tail the exact sigma_{r+1}.  Above it a seeded Gaussian range finder
+    with one power iteration (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
+    2011) takes l = 32, 64, ... orthonormal columns Q until the residual
+    ||M - Q Q^T M||_F is at most NEGLIGIBLE_REL * sigma_1(Q^T M), or falls
+    back to the dense SVD once l would exceed min(m, n) / 4.  It returns
+    the leading k = min(r, l) triplets of Q^T M and tail = sigma_{k+1}(Q^T M)
+    + residual, as sigma_i(M) <= sigma_i(Q^T M) + ||M - Q Q^T M||_2 (Weyl).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -87,15 +98,34 @@ def truncated_svd(M, r, dense_max=DENSE_SVD_MAX, lanczos_tol=LANCZOS_TOL):
     if not 1 <= r <= min(M.shape):
         raise DimensionError(f"rank {r} out of range for shape {M.shape}")
 
-    if min(M.shape) <= dense_max or r >= min(M.shape) - 1:
-        U, s, Vh = np.linalg.svd(M, full_matrices=False)
-        return SvdTriplet(U[:, :r].copy(), s[:r].copy(), Vh[:r].T.copy())
+    if min(M.shape) > DENSE_SVD_MAX:
+        rng = np.random.default_rng(_RANGE_SEED)
+        block = RANGE_BLOCK
+        while block <= min(M.shape) / 4:
+            trip = _range_svd(M, r, block, rng)
+            if trip is not None:
+                return trip
+            block *= 2
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    tail = float(s[r]) if r < len(s) else 0.0
+    return SvdTriplet(U[:, :r].copy(), s[:r].copy(), Vh[:r].T.copy(), tail)
 
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    v0 = rng.standard_normal(min(M.shape))
-    U, s, Vh = scipy.sparse.linalg.svds(M, k=r, tol=lanczos_tol, v0=v0)
-    order = np.argsort(s)[::-1]
-    return SvdTriplet(U[:, order], s[order], Vh[order].T)
+
+def _range_svd(M, r, block, rng):
+    """truncated_svd from a block-column range finder, or None when its
+    residual is not negligible."""
+    Q = np.linalg.qr(M @ rng.standard_normal((M.shape[1], block)))[0]
+    Q = np.linalg.qr(M @ np.linalg.qr(M.T @ Q)[0])[0]     # one power iteration
+    B = Q.T @ M
+    Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
+    resid = Q @ B
+    resid -= M
+    resid = float(np.linalg.norm(resid))
+    if resid > NEGLIGIBLE_REL * s[0]:
+        return None
+    k = min(r, block)
+    tail = resid + (float(s[k]) if k < block else 0.0)
+    return SvdTriplet(Q @ Ub[:, :k], s[:k].copy(), Vh[:k].T.copy(), tail)
 
 
 def pivoted_qr_indices(Bt, rank_tol=RANK_TOL):
@@ -170,11 +200,42 @@ def general_eig(S, cond_limit=EIG_COND_LIMIT):
 
 
 def eig_pair(A, cond_limit=EIG_COND_LIMIT):
-    """sym_eig when A is symmetric within tolerance, general_eig otherwise."""
+    """sym_eig when A is symmetric within tolerance, else tridiagonal_eig
+    when it applies, else general_eig."""
     A = np.asarray(A, dtype=float)
     if is_symmetric(A):
         return sym_eig(A)
-    return general_eig(A, cond_limit=cond_limit)
+    pair = tridiagonal_eig(A, cond_limit)
+    return pair if pair is not None else general_eig(A, cond_limit=cond_limit)
+
+
+def tridiagonal_eig(A, cond_limit=EIG_COND_LIMIT):
+    """Eigendecomposition of a tridiagonal A similar to a symmetric one, or None.
+
+    An exactly tridiagonal A with A[i+1, i] A[i, i+1] > 0 for every i is
+    D S D^-1 with S symmetric tridiagonal and D diagonal, d_{i+1} / d_i =
+    sqrt(A[i+1, i] / A[i, i+1]).  D is summed in logs, so that it cannot
+    overflow.  LAPACK's symmetric tridiagonal solver gives S = Q_S L Q_S^T,
+    so Q = D Q_S and Q^-1 = Q_S^T D^-1 need no inverse, and cond(Q) =
+    cond(D).  Any other pattern, or cond(D) above cond_limit, gives None.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2:
+        return None
+    _check_finite("A", A)
+    sup, sub = np.diagonal(A, 1), np.diagonal(A, -1)
+    if not np.all(np.sign(sup) * np.sign(sub) > 0):
+        return None
+    if np.count_nonzero(A) != np.count_nonzero(np.diagonal(A)) + 2 * len(sup):
+        return None     # an entry off the three diagonals
+    log_d = np.concatenate([[0.0], np.cumsum(0.5 * (np.log(np.abs(sub)) - np.log(np.abs(sup))))])
+    lo, hi = log_d.min(), log_d.max()
+    if hi - lo > np.log(cond_limit):
+        return None
+    d = np.exp(log_d - 0.5 * (lo + hi))
+    off = np.sign(sup) * np.sqrt(np.abs(sup)) * np.sqrt(np.abs(sub))
+    vals, QS = scipy.linalg.eigh_tridiagonal(np.diagonal(A), off)
+    return EigenPair(vals, d[:, None] * QS, QS.T / d[None, :], False)
 
 
 def phi1(z):

@@ -21,8 +21,9 @@ import numpy as np
 from . import kernels
 from .errors import DimensionError, InputError, MemoryGuardError
 
-# Singular values below this relative threshold never enter the accumulator.
-NEGLIGIBLE_REL = 1e-14
+# Singular values below this relative threshold never enter the accumulator;
+# the randomized snapshot SVD certifies its residual against it too.
+NEGLIGIBLE_REL = kernels.NEGLIGIBLE_REL
 
 # Snapshots with larger relative asymmetry break the symmetric-stream mark.
 STREAM_SYM_TOL = 1e-12
@@ -88,8 +89,10 @@ def accumulate(acc, Xi):
     snapshot contributes nothing and leaves the state untouched.
 
     sigma_discard_max absorbs both kinds of loss: the snapshot's own
-    sigma_{kappa+1} (never appended) and any merged value pushed past the
-    cap, so it bounds the blockwise reconstruction error of the stream.
+    sigma_{kappa+1} (never appended; when the snapshot SVD returns fewer
+    triplets, the certified bound it gives in its place) and any merged
+    value pushed past the cap, so it bounds the blockwise reconstruction
+    error of the stream.
     """
     Xi = np.asarray(Xi, dtype=float)
     if not np.all(np.isfinite(Xi)):
@@ -105,7 +108,8 @@ def accumulate(acc, Xi):
     cap = min(acc.kappa, min(Xi.shape))
     probe = min(acc.kappa + 1, min(Xi.shape))
     trip = kernels.truncated_svd(Xi, probe)
-    snapshot_discard = float(trip.S[cap]) if probe > cap else 0.0
+    # sigma_{kappa+1}, or the certified bound on it when fewer triplets came back
+    snapshot_discard = float(trip.S[cap]) if len(trip.S) > cap else trip.tail
     keep = trip.S[:cap] >= NEGLIGIBLE_REL * trip.S[0]
     U, s, V = trip.U[:, :cap][:, keep], trip.S[:cap][keep], trip.V[:, :cap][:, keep]
     U, V = _sign_normalize(U, V)

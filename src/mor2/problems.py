@@ -136,7 +136,12 @@ def _cubic_double_well(eps2):
 
 
 def _bistable(U, X, Y, t):
-    return U * (U - 0.5) * (1.0 - U)
+    # U (U - 1/2) (1 - U) = ((3/2 - U) U - 1/2) U, built in its result array.
+    out = 1.5 - U
+    out *= U
+    out -= 0.5
+    out *= U
+    return out
 
 
 def build_problem(name, n, **params):

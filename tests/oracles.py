@@ -140,12 +140,19 @@ def kron_operator(A, B):
 def vectorized_etd_step(A, B, U, F, h):
     """One dense ETD Euler step of the column-stacked system.
 
-    u+ = e^{hL} u + h phi1(hL) f  with  L = I (x) A + B^T (x) I.
+    u+ = e^{hL} u + h phi1(hL) f  with  L = I (x) A + B^T (x) I, both terms
+    read off one exponential of the bordered matrix:
+    exp([[hL, hf], [0, 0]]) = [[e^{hL}, h phi1(hL) f], [0, 1]].
     """
     L = kron_operator(A, B)
     u = np.asarray(U).ravel(order="F")
     f = np.asarray(F).ravel(order="F")
-    out = pade_expm(h * L) @ u + h * (phi1_block(h * L) @ f)
+    N = L.shape[0]
+    aug = np.zeros((N + 1, N + 1))
+    aug[:N, :N] = h * L
+    aug[:N, N] = h * f
+    E = pade_expm(aug)
+    out = E[:N, :N] @ u + E[:N, N]
     return out.reshape(U.shape, order="F")
 
 
@@ -190,11 +197,22 @@ def legacy_full_trajectory(spec, eigA, eigB, h, n_t, scheme="etd"):
     Stops early, returning what it has, at the first non-finite state.
     """
     update = legacy_etd_update if scheme == "etd" else legacy_imex_update
+    return _stepped_trajectory(spec, lambda U, F: update(eigA, eigB, U, F, h), h, n_t)
+
+
+def vectorized_full_trajectory(spec, h, n_t, scheme="etd"):
+    """States of the full model at n_t uniform steps of the stacked system,
+    for operators that have no usable eigenbasis; stops as the legacy one."""
+    step = vectorized_etd_step if scheme == "etd" else vectorized_imex_step
+    return _stepped_trajectory(spec, lambda U, F: step(spec.A, spec.B, U, F, h), h, n_t)
+
+
+def _stepped_trajectory(spec, step, h, n_t):
     X, Y = spec.grid_x[:, None], spec.grid_y[None, :]
     states = [spec.U0.copy()]
     for i in range(n_t):
         U = states[-1]
-        states.append(update(eigA, eigB, U, spec.nonlinear(U, X, Y, i * h), h))
+        states.append(step(U, spec.nonlinear(U, X, Y, i * h)))
         if not np.all(np.isfinite(states[-1])):
             break
     return states

@@ -82,6 +82,9 @@ def test_load_config_file_with_overrides(tmp_path):
     ["taus=1e-2,abc"],
     ["taus=1e-2,1.0"],
     ["bench_k=6"],          # not a configuration key: old config files are refused
+    ["online_repeats=0"],
+    ["methods="],
+    ["seed=5"],             # removed: it reached no computation
 ])
 def test_load_config_rejects(sets):
     with pytest.raises(ConfigError):
@@ -104,6 +107,16 @@ def test_main_maps_config_error_to_exit_2(tmp_path, capsys):
     rc = cli.main(argv("reduce", ["problem=banana"], tmp_path))
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_seed_is_refused_in_files_and_as_a_flag(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("problem=ac1\nseed=0\n")
+    assert cli.main(["reduce", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce", "--seed", "5"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------------------ reduce + solve

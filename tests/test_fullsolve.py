@@ -6,7 +6,7 @@ import pytest
 import oracles
 from conftest import full_step, make_spec, run_full, stable_pair
 from mor2 import fullsolve, kernels, problems
-from mor2.errors import DimensionError, DivergenceError
+from mor2.errors import ConditioningError, DimensionError, DivergenceError
 
 
 # -------------------------------------------------------------------- time grid
@@ -208,6 +208,48 @@ def test_iter_full_matches_legacy_trajectory(name, n, n_t, scheme):
         assert np.linalg.norm(U - ref[i]) <= 1e-12 * np.linalg.norm(ref[i])
         count += 1
     assert count == len(ref) == n_t + 1
+
+
+def _bidiagonal_spec(sub):
+    """A 5 x 5 tridiagonal A with unit superdiagonal and the given
+    subdiagonal, a symmetric 4 x 4 B and a smooth entrywise F."""
+    n = 5
+    A = np.diag(-np.full(n, 1.5)) + np.diag(np.ones(n - 1), 1) + np.diag(sub * np.ones(n - 1), -1)
+    B = np.diag([-1.0, -2.0, -0.5, -3.0]) + 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1))
+    U0 = np.random.default_rng(58).standard_normal((n, 4))
+    return make_spec(A, B, U0, nonlinear=lambda U, X, Y, t: np.sin(U) + t, t_final=1.0)
+
+
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_iter_full_complex_eigenbasis_matches_legacy_trajectory(scheme):
+    # negative off-diagonal products keep general_eig: A's eigenvalues are complex
+    spec = _bidiagonal_spec(-1.0)
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    assert not prop.fallback and np.iscomplexobj(prop.Qa)
+    grid = fullsolve.TimeGrid(spec.t_final, 20)
+    ref = oracles.legacy_full_trajectory(spec, kernels.general_eig(spec.A), kernels.eig_pair(spec.B),
+                                         grid.h, grid.n_t, scheme)
+    count = 0
+    for i, t, U in fullsolve.iter_full(spec, grid, scheme):
+        assert np.linalg.norm(U - ref[i]) <= 1e-12 * np.linalg.norm(ref[i])
+        count += 1
+    assert count == len(ref) == grid.n_t + 1
+
+
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_iter_full_schur_fallback_matches_vectorized_trajectory(scheme):
+    # upper bidiagonal with a repeated diagonal: one Jordan block, no eigenbasis
+    spec = _bidiagonal_spec(0.0)
+    with pytest.raises(ConditioningError):
+        kernels.eig_pair(spec.A)
+    assert kernels.Propagator(spec.A, spec.B, scheme).fallback
+    grid = fullsolve.TimeGrid(spec.t_final, 20)
+    ref = oracles.vectorized_full_trajectory(spec, grid.h, grid.n_t, scheme)
+    count = 0
+    for i, t, U in fullsolve.iter_full(spec, grid, scheme):
+        assert np.linalg.norm(U - ref[i]) <= 1e-12 * np.linalg.norm(ref[i])
+        count += 1
+    assert count == len(ref) == grid.n_t + 1
 
 
 def test_trajectory_source_evaluates_f_once_per_node(monkeypatch):

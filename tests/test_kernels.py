@@ -71,19 +71,96 @@ def test_truncated_svd_errors():
         kernels.truncated_svd(bad, 1)
 
 
-def test_truncated_svd_lanczos_agrees_with_dense():
-    # force the iterative path with a tiny dense_max and a clean spectrum
+def test_truncated_svd_randomized_agrees_with_dense():
+    # above DENSE_SVD_MAX a clean low-rank spectrum takes the range finder
     rng = np.random.default_rng(13)
-    U = oracles.random_orthonormal(rng, 40, 8)
-    V = oracles.random_orthonormal(rng, 35, 8)
+    U = oracles.random_orthonormal(rng, 300, 8)
+    V = oracles.random_orthonormal(rng, 280, 8)
     s = 2.0 ** -np.arange(8)
     M = (U * s) @ V.T
-    dense = kernels.truncated_svd(M, 5)
-    lanc = kernels.truncated_svd(M, 5, dense_max=10)
-    assert np.allclose(lanc.S, dense.S, atol=1e-8)
-    Pd = dense.U @ dense.U.T
-    Pl = lanc.U @ lanc.U.T
+    Ud, sd, _ = np.linalg.svd(M, full_matrices=False)
+    rand = kernels.truncated_svd(M, 5)
+    assert np.allclose(rand.S, sd[:5], atol=1e-8)
+    Pd = Ud[:, :5] @ Ud[:, :5].T
+    Pl = rand.U @ rand.U.T
     assert np.linalg.norm(Pd - Pl) < 1e-6
+    assert sd[5] <= rand.tail <= sd[5] + 1e-14
+
+
+def _low_rank(rng, m, n, rank):
+    U = oracles.random_orthonormal(rng, m, rank)
+    V = oracles.random_orthonormal(rng, n, rank)
+    return (U * np.logspace(0, -9, rank)) @ V.T
+
+
+def test_randomized_svd_low_rank_matches_dense():
+    rng = np.random.default_rng(14)
+    M = _low_rank(rng, 400, 300, 12)
+    s_ref = np.linalg.svd(M, compute_uv=False)
+    trip = kernels.truncated_svd(M, 51)
+    assert len(trip.S) == kernels.RANGE_BLOCK      # certified at the first block
+    assert np.max(np.abs(trip.S - s_ref[:len(trip.S)])) <= 1e-13 * s_ref[0]
+    assert np.allclose(trip.U.T @ trip.U, np.eye(len(trip.S)), atol=1e-13)
+    assert np.allclose(trip.V.T @ trip.V, np.eye(len(trip.S)), atol=1e-13)
+    assert np.linalg.norm(M - (trip.U * trip.S) @ trip.V.T) <= 1e-13 * s_ref[0]
+    # the tail bounds the first singular value not returned, below the negligible level
+    assert s_ref[len(trip.S)] <= trip.tail <= kernels.NEGLIGIBLE_REL * s_ref[0]
+
+
+def test_randomized_svd_is_deterministic():
+    M = _low_rank(np.random.default_rng(15), 300, 260, 6)
+    a, b = kernels.truncated_svd(M, 10), kernels.truncated_svd(M, 10)
+    assert len(a.S) == 10
+    for x, y in ((a.U, b.U), (a.S, b.S), (a.V, b.V)):
+        assert np.array_equal(x, y)
+    assert a.tail == b.tail
+
+
+def _record_blocks(monkeypatch):
+    blocks = []
+    finder = kernels._range_svd
+
+    def recording(M, r, block, rng):
+        blocks.append(block)
+        return finder(M, r, block, rng)
+
+    monkeypatch.setattr(kernels, "_range_svd", recording)
+    return blocks
+
+
+def test_randomized_svd_power_iteration_certifies_first_block(monkeypatch):
+    # sigma_i = 10^(-i/2.2): sigma_33 ~ 3e-15 sigma_1, so a 32-column sketch
+    # is certified only after its power iteration (without it the residual
+    # is 1.7-3x the bound here; with it, 0.3x)
+    rng = np.random.default_rng(17)
+    U = oracles.random_orthonormal(rng, 300, 80)
+    V = oracles.random_orthonormal(rng, 280, 80)
+    s = 10.0 ** (-np.arange(80) / 2.2)
+    M = (U * s) @ V.T
+    blocks = _record_blocks(monkeypatch)
+    trip = kernels.truncated_svd(M, 51)
+    assert blocks == [32]
+    s_ref = np.linalg.svd(M, compute_uv=False)
+    assert np.max(np.abs(trip.S - s_ref[:32])) <= 1e-13 * s_ref[0]
+    assert s_ref[32] <= trip.tail <= kernels.NEGLIGIBLE_REL * s_ref[0]
+
+
+def test_randomized_svd_full_rank_falls_back_to_dense(monkeypatch):
+    M = np.random.default_rng(16).standard_normal((300, 280))
+    blocks = _record_blocks(monkeypatch)
+    trip = kernels.truncated_svd(M, 10)
+    assert blocks == [32, 64]       # 128 would exceed min(m, n) / 4 = 70
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    assert np.array_equal(trip.U, U[:, :10])
+    assert np.array_equal(trip.S, s[:10])
+    assert np.array_equal(trip.V, Vh[:10].T)
+    assert trip.tail == s[10]
+
+
+def test_dense_svd_tail_is_the_next_singular_value():
+    trip = kernels.truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
+    assert trip.tail == 1.0
+    assert kernels.truncated_svd(np.diag([3.0, 2.0, 1.0]), 3).tail == 0.0
 
 
 # ---------------------------------------------------------- pivoted_qr_indices
@@ -178,6 +255,95 @@ def test_general_eig_defective_raises():
 def test_eig_pair_dispatch():
     assert kernels.eig_pair(np.diag([1.0, 2.0])).symmetric
     assert not kernels.eig_pair(np.array([[1.0, 1.0], [0.0, 2.0]])).symmetric
+
+
+# ------------------------------------------- tridiagonal symmetrization route
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
+def _sign_symmetric_tridiagonal(rng, n):
+    """Random tridiagonal with A[i+1, i] A[i, i+1] > 0, shifted left of 0."""
+    sup = rng.uniform(0.5, 2.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    sub = sup * rng.uniform(0.2, 5.0, n - 1)
+    A = np.diag(rng.standard_normal(n)) + np.diag(sup, 1) + np.diag(sub, -1)
+    return A - (np.abs(A).sum(axis=1).max() + 0.5) * np.eye(n)
+
+
+def test_tridiagonal_eig_is_a_scaled_symmetric_decomposition(monkeypatch):
+    A = _sign_symmetric_tridiagonal(np.random.default_rng(33), 12)
+    monkeypatch.setattr(kernels, "general_eig", _refuse)
+    pair = kernels.eig_pair(A)
+    assert not pair.symmetric
+    assert np.isrealobj(pair.values) and np.isrealobj(pair.vectors)
+    Q, nrm = pair.vectors, np.linalg.norm(A)
+    assert np.linalg.norm(A @ Q - Q * pair.values) <= 1e-13 * nrm
+    assert np.linalg.norm(pair.inverse @ Q - np.eye(12)) <= 1e-13
+    ref = np.sort(np.linalg.eigvals(A).real)
+    assert np.allclose(pair.values, ref, rtol=0, atol=1e-12 * nrm)
+    # Q = D Q_S with Q_S orthogonal: Q Q^T = D^2 and cond(Q) = cond(D)
+    d = np.sqrt(np.diag(Q @ Q.T))
+    assert np.allclose(Q @ Q.T, np.diag(d * d), atol=1e-13 * np.max(d * d))
+    assert np.isclose(np.linalg.cond(Q), d.max() / d.min(), rtol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["rdc", "random"])
+@pytest.mark.parametrize("side", ["B=A", "B=A^T"])
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_tridiagonal_route_step_matches_oracles(case, side, scheme, monkeypatch):
+    rng = np.random.default_rng(71)
+    if case == "rdc":
+        A = problems.build_problem("rdc", 32).A
+    else:
+        A = _sign_symmetric_tridiagonal(rng, 12)
+    B = A.copy() if side == "B=A" else A.T.copy()
+    eigA, eigB = kernels.general_eig(A), kernels.general_eig(B)
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "general_eig", _refuse)
+        prop = kernels.Propagator(A, B, scheme)
+    assert not prop.fallback
+    assert np.isrealobj(prop.Qa) and np.isrealobj(prop.Qb)
+    U = rng.standard_normal(A.shape)
+    F = np.sin(U)
+    h = 1e-3
+    if scheme == "etd":
+        refs = oracles.vectorized_etd_step(A, B, U, F, h), oracles.legacy_etd_update(eigA, eigB, U, F, h)
+    else:
+        refs = oracles.vectorized_imex_step(A, B, U, F, h), oracles.legacy_imex_update(eigA, eigB, U, F, h)
+    out = _step(prop, U, F, h)
+    for ref in refs:
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind", ["zero product", "negative product", "ill-conditioned scale",
+                                  "off-band entry"])
+def test_tridiagonal_route_keeps_general_eig_otherwise(kind, monkeypatch):
+    n = 8
+    sup, sub = np.ones(n - 1), np.ones(n - 1)
+    if kind == "zero product":
+        sub[3] = 0.0
+    elif kind == "negative product":
+        sub[3] = -1.0
+    elif kind == "ill-conditioned scale":
+        sub *= 1e4        # d_{i+1} / d_i = 100, so cond(D) = 1e14
+    A = np.diag(-np.arange(1.0, n + 1)) + np.diag(sup, 1) + np.diag(sub, -1)
+    if kind == "off-band entry":
+        A[0, 3] = 0.1
+    calls = []
+    general = kernels.general_eig
+
+    def recording(S, cond_limit=kernels.EIG_COND_LIMIT):
+        calls.append(S)
+        return general(S, cond_limit)
+
+    assert kernels.tridiagonal_eig(A) is None
+    monkeypatch.setattr(kernels, "general_eig", recording)
+    try:
+        kernels.eig_pair(A)
+    except ConditioningError:
+        pass        # an ill-conditioned eigenbasis is refused by general_eig itself
+    assert len(calls) == 1 and calls[0] is A
 
 
 # ------------------------------------------------------------ Sylvester solves

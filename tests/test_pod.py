@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mor2 import fullsolve, pod, problems
+from mor2 import fullsolve, kernels, pod, problems
 from mor2.errors import DimensionError, InputError, MemoryGuardError
 
 
@@ -101,6 +101,23 @@ def test_accumulate_discard_monotone_in_kappa():
             acc = pod.accumulate(acc, Xi)
         losses.append(acc.sigma_discard_max)
     assert all(a >= b - 1e-13 for a, b in zip(losses, losses[1:]))
+
+
+def test_accumulate_takes_the_certified_tail_as_discard():
+    # above DENSE_SVD_MAX a rank-5 snapshot comes back as 32 triplets; the
+    # tail the range finder certifies stands in for its sigma_{kappa+1}
+    rng = np.random.default_rng(84)
+    U = oracles.random_orthonormal(rng, 300, 5)
+    V = oracles.random_orthonormal(rng, 270, 5)
+    Xi = (U * np.array([5.0, 2.0, 1.0, 0.5, 0.1])) @ V.T
+    kappa = 50
+    acc = pod.accumulate(pod.TripletAccumulator.empty(kappa), Xi)
+    trip = kernels.truncated_svd(Xi, kappa + 1)
+    assert len(trip.S) < kappa + 1
+    assert acc.rank == 5
+    assert acc.sigma_discard_max == trip.tail
+    s = np.linalg.svd(Xi, compute_uv=False)
+    assert s[kappa] <= acc.sigma_discard_max <= pod.NEGLIGIBLE_REL * s[0]
 
 
 def test_accumulate_symmetry_flag_latches():
