@@ -8,8 +8,10 @@ Two first-order schemes are provided for  Udot = A U + U B + F(U, t):
   nonlinearity propagated through the phi1 kernel.
 
 Both step through one kernels.Propagator built for the run: the state is
-kept in eigen-coordinates of A and B, so a step costs four dense
+kept in eigen-coordinates of A and B, so a dense step costs four n x n
 multiplications (F mapped in, the state mapped out) plus a Hadamard update.
+The snapshot run above kernels.DENSE_SVD_MAX keeps the state and F as
+certified low-rank factors instead, and its maps are n x r products.
 An operator of even size that is centrosymmetric (J A J = A, as the
 Dirichlet and periodic Laplacians are) is folded: its eigenproblem splits
 into two half-size ones, and its two multiplications become four half-size
@@ -54,7 +56,10 @@ class Trajectory:
 
     kind names what they are: "state" (full states), "nonlinearity"
     (F at those states) or "reduced-state" (cores of a reduced run).
-    seconds is the wall time of the run that made them, where one did.
+    states holds each as an ndarray or, from a factored snapshot run, as
+    kernels.SvdTriplet factors; matrix(i) and iteration rebuild the latter
+    densely on demand, snapshot(i) returns what is stored.  seconds is the
+    wall time of the run that made them, where one did.
     """
 
     times: np.ndarray
@@ -62,11 +67,18 @@ class Trajectory:
     kind: str = "state"
     seconds: float = 0.0
 
-    def matrix(self, i):
+    def snapshot(self, i):
         return self.states[i]
 
+    def matrix(self, i):
+        return _dense(self.states[i])
+
     def __iter__(self):
-        return zip(self.times, self.states)
+        return zip(self.times, map(_dense, self.states))
+
+
+def _dense(M):
+    return M.dense() if isinstance(M, kernels.SvdTriplet) else M
 
 
 @dataclass
@@ -80,17 +92,18 @@ class AnalyticSource:
     def matrix(self, i):
         return problems.sample_analytic(self.fn, self.times[i])
 
+    snapshot = matrix
 
-def _march(spec, times, scheme, h=None, f_at_last=False):
+
+def _march(prop, spec, times, h=None, f_at_last=False):
     """Step through the time nodes, yielding (index, time, state, F at the state).
 
-    One Propagator serves the whole run; steps use h when given, else the
-    node spacing.  F is evaluated once per node, for the step that leaves
-    it, and at the last node only when f_at_last asks for it (None there
-    otherwise).  The state is one matrix overwritten by every step, so a
-    step allocates only F, in the memory the previous F leaves.
+    The Propagator prop serves the whole run; steps use h when given, else
+    the node spacing.  F is evaluated once per node, for the step that
+    leaves it, and at the last node only when f_at_last asks for it (None
+    there otherwise).  The state is one matrix overwritten by every step,
+    so a step allocates only F, in the memory the previous F leaves.
     """
-    prop = kernels.Propagator(spec.A, spec.B, scheme)
     U = np.array(spec.U0, dtype=float)
     Uhat = prop.to_coords(U)
     last = len(times) - 1
@@ -107,6 +120,55 @@ def _march(spec, times, scheme, h=None, f_at_last=False):
         yield i, t, U, F
 
 
+def _factored_run(prop, spec, times):
+    """The snapshot run with every state and F kept as low-rank factors.
+
+    Returns the state and F snapshots, node 0's state being U0 itself and
+    every other one kernels.SvdTriplet factors, or None when the run cannot
+    stay factored: complex coordinates, a matrix not above DENSE_SVD_MAX,
+    a compression kernels.compress cannot certify (as for a rank-heavy
+    state), or a non-finite step.  A step forms U = L R^T and F(U), both
+    transient, compresses F (warm-started from the previous F's row space),
+    maps its factors into coordinates with two n x r products, forms the
+    coordinate state and F there and advances them with prop.advance,
+    compresses the result (warm-started likewise) and maps its factors out
+    with two more n x r products.  The coordinate factors of the
+    compression serve the next step as they are.  A non-finite F or step
+    is not certified either, so the dense route reports the divergence.
+    """
+    bases = (prop.Qa, prop.Qa_inv, prop.Qb, prop.Qb_inv)
+    U = np.array(spec.U0, dtype=float)
+    if min(U.shape) <= kernels.DENSE_SVD_MAX or any(np.iscomplexobj(Q) for Q in bases):
+        return None
+    trip = kernels.compress(U)
+    if trip is None:
+        return None
+    Lc, Rc = prop.Qa_inv @ (trip.U * trip.S), prop.Qb.T @ trip.V
+    states, nonls = [U], []
+    start_u = start_f = None
+    dense = np.empty(U.shape)   # U at every later node: one buffer, not an n x n array per step
+    for i, t in enumerate(times):
+        if i > 0:
+            snap = kernels.factored_svd(L, R)
+            states.append(snap)
+            U = np.matmul(snap.U * snap.S, snap.V.T, out=dense)
+        ftrip = kernels.compress(problems.eval_nonlinear(spec, U, t), start_f)
+        if ftrip is None:
+            return None
+        nonls.append(ftrip)
+        if i == len(times) - 1:
+            return states, nonls
+        Uhat, Fhat = prop.work((len(Lc), len(Rc)), float)
+        np.matmul(Lc, Rc.T, out=Uhat)
+        np.matmul(prop.Qa_inv @ (ftrip.U * ftrip.S), (prop.Qb.T @ ftrip.V).T, out=Fhat)
+        trip = kernels.compress(prop.advance(Uhat, Fhat, times[i + 1] - t), start_u)
+        if trip is None:
+            return None
+        start_f, start_u = ftrip.V, trip.V
+        Lc, Rc = trip.U * trip.S, trip.V
+        L, R = prop.Qa @ Lc, prop.Qb_inv.T @ Rc
+
+
 def iter_full(spec, grid, scheme="imex"):
     """Yield (index, time, state) along the grid without storing the run.
 
@@ -114,7 +176,8 @@ def iter_full(spec, grid, scheme="imex"):
     what large reference solves need when only running error sums are kept.
     The yielded state is overwritten by the next step; copy it to keep it.
     """
-    for i, t, U, F in _march(spec, grid.nodes, scheme, grid.h):
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    for i, t, U, F in _march(prop, spec, grid.nodes, grid.h):
         del F  # the next F then reuses its memory
         yield i, t, U
 
@@ -123,15 +186,23 @@ def trajectory_source(spec, times, scheme="imex"):
     """Integrate over the given time nodes and expose snapshot sources.
 
     The candidate nodes double as the integration grid, so each node costs
-    one step.  Returns (state trajectory, nonlinearity trajectory, seconds).
+    one step.  Above kernels.DENSE_SVD_MAX, in real coordinates, the run
+    keeps its snapshots as low-rank factors (_factored_run); otherwise, or
+    when a compression is not certified, it runs dense from node 0 and
+    keeps every snapshot as a matrix.  Returns (state trajectory,
+    nonlinearity trajectory, seconds).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
         raise DimensionError("times must be strictly increasing")
     tic = time.perf_counter()
-    states, nonls = [], []
-    for _, _, U, F in _march(spec, times, scheme, f_at_last=True):
-        states.append(U.copy())
-        nonls.append(F)
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    run = _factored_run(prop, spec, times)
+    if run is None:
+        run = [], []
+        for _, _, U, F in _march(prop, spec, times, f_at_last=True):
+            run[0].append(U.copy())
+            run[1].append(F)
+    states, nonls = run
     return (Trajectory(times, states), Trajectory(times, nonls, "nonlinearity"),
             time.perf_counter() - tic)

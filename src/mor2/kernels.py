@@ -61,6 +61,15 @@ class SvdTriplet:
     V: np.ndarray
     tail: float
 
+    @property
+    def shape(self):
+        """Shape of the matrix U diag(S) V^T."""
+        return self.U.shape[0], self.V.shape[0]
+
+    def dense(self):
+        """U diag(S) V^T as an ndarray."""
+        return (self.U * self.S) @ self.V.T
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -90,6 +99,7 @@ def truncated_svd(M, r):
     back to the dense SVD once l would exceed min(m, n) / 4.  It returns
     the leading k = min(r, l) triplets of Q^T M and tail = sigma_{k+1}(Q^T M)
     + residual, as sigma_i(M) <= sigma_i(Q^T M) + ||M - Q Q^T M||_2 (Weyl).
+    compress shares the range finder.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -99,23 +109,70 @@ def truncated_svd(M, r):
         raise DimensionError(f"rank {r} out of range for shape {M.shape}")
 
     if min(M.shape) > DENSE_SVD_MAX:
-        rng = np.random.default_rng(_RANGE_SEED)
-        block = RANGE_BLOCK
-        while block <= min(M.shape) / 4:
-            trip = _range_svd(M, r, block, rng)
-            if trip is not None:
-                return trip
-            block *= 2
+        trip = _range_finder(M, r)
+        if trip is not None:
+            return trip
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     tail = float(s[r]) if r < len(s) else 0.0
     return SvdTriplet(U[:, :r].copy(), s[:r].copy(), Vh[:r].T.copy(), tail)
 
 
-def _range_svd(M, r, block, rng):
+def compress(M, start=None):
+    """Certified low-rank factors of M from the range finder of truncated_svd,
+    or None when min(m, n) / 4 columns do not certify them or M is not
+    finite.
+
+    Keeps the triplets of Q^T M at or above NEGLIGIBLE_REL * sigma_1, so
+    ||M - U diag(S) V^T||_2 <= tail.  start (n, k), orthonormal columns near
+    M's row space (the V of a call on a nearby matrix), warm-starts it: one
+    pass with the test matrix [start, RANGE_BLOCK / 4 seeded Gaussian
+    columns] and no power iteration, then the cold blocks when that pass is
+    not certified.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise DimensionError("compress expects a matrix")
+    return _range_finder(M, None, start) if np.all(np.isfinite(M)) else None
+
+
+def factored_svd(L, R):
+    """SvdTriplet of L R^T (tail 0) from thin QRs of the factors, O(n k^2)."""
+    Ql, Tl = np.linalg.qr(L)
+    Qr, Tr = np.linalg.qr(R)
+    Uc, s, Vch = np.linalg.svd(Tl @ Tr.T)
+    return SvdTriplet(Ql @ Uc, s, Qr @ Vch.T, 0.0)
+
+
+def _range_finder(M, r, start=None):
+    """The warm pass and the cold blocks of truncated_svd and compress."""
+    limit = min(M.shape) / 4
+    extra = RANGE_BLOCK // 4
+    if start is not None and start.shape[1] + extra <= limit:
+        rng = np.random.default_rng(_RANGE_SEED)
+        trip = _range_svd(M, r, extra, rng, start)
+        if trip is not None:
+            return trip
+    rng = np.random.default_rng(_RANGE_SEED)
+    block = RANGE_BLOCK
+    while block <= limit:
+        trip = _range_svd(M, r, block, rng)
+        if trip is not None:
+            return trip
+        block *= 2
+    return None
+
+
+def _range_svd(M, r, block, rng, start=None):
     """truncated_svd from a block-column range finder, or None when its
-    residual is not negligible."""
-    Q = np.linalg.qr(M @ rng.standard_normal((M.shape[1], block)))[0]
-    Q = np.linalg.qr(M @ np.linalg.qr(M.T @ Q)[0])[0]     # one power iteration
+    residual is not negligible.  With start the test matrix is [start,
+    block Gaussian columns] and there is no power iteration; r = None
+    keeps the triplets at or above NEGLIGIBLE_REL * sigma_1."""
+    omega = rng.standard_normal((M.shape[1], block))
+    if start is None:
+        Q = np.linalg.qr(M @ omega)[0]
+        Q = np.linalg.qr(M @ np.linalg.qr(M.T @ Q)[0])[0]     # one power iteration
+    else:
+        Q = np.linalg.qr(M @ np.hstack([start, omega]))[0]
     B = Q.T @ M
     Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
     resid = Q @ B
@@ -123,8 +180,11 @@ def _range_svd(M, r, block, rng):
     resid = float(np.linalg.norm(resid))
     if resid > NEGLIGIBLE_REL * s[0]:
         return None
-    k = min(r, block)
-    tail = resid + (float(s[k]) if k < block else 0.0)
+    if r is None:
+        k = int(np.count_nonzero(s >= NEGLIGIBLE_REL * s[0])) if s[0] > 0 else 0
+    else:
+        k = min(r, len(s))
+    tail = resid + (float(s[k]) if k < len(s) else 0.0)
     return SvdTriplet(Q @ Ub[:, :k], s[:k].copy(), Vh[:k].T.copy(), tail)
 
 
@@ -436,10 +496,10 @@ class Propagator:
         out = self.Qa @ Uhat @ self.Qb_inv
         return out.real if np.iscomplexobj(out) else out
 
-    def work(self, like):
-        """Two row-major scratch matrices shaped and typed like `like`, kept for reuse."""
-        if self._work is None or self._work[0].shape != like.shape or self._work[0].dtype != like.dtype:
-            self._work = (np.empty(like.shape, like.dtype), np.empty(like.shape, like.dtype))
+    def work(self, shape, dtype):
+        """Two row-major scratch matrices of this shape and dtype, kept for reuse."""
+        if self._work is None or self._work[0].shape != shape or self._work[0].dtype != dtype:
+            self._work = (np.empty(shape, dtype), np.empty(shape, dtype))
         return self._work
 
     def advance(self, Uhat, Fhat, h):
@@ -498,7 +558,7 @@ def etd_euler_update(prop, Uhat, F, h, out=None):
     side that reads them ask, so with out a step allocates nothing.
     Returns (Uhat, U).
     """
-    P, R = prop.work(Uhat)
+    P, R = prop.work(Uhat.shape, Uhat.dtype)
     # The same scratch memory viewed column-major, for the folds of B's side.
     Pc, Rc = (M.reshape(M.shape[::-1]).T for M in (P, R))
     fold_a = isinstance(prop.Qa, FoldedMatrix)

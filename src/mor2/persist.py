@@ -19,6 +19,7 @@ Basis container ("MOR2BAS"):
 Everything is little-endian.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -41,10 +42,13 @@ def _matrix_bytes(M):
 
 
 def _read(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return data
+    """n bytes.  A size taken from a header is checked against the bytes
+    left in the file before anything is read or allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"truncated file while reading {what}: {n} bytes "
+                          f"claimed, {left} left")
+    return fh.read(n)
 
 
 def _read_matrix(fh, rows, cols, what):

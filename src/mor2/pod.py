@@ -86,35 +86,42 @@ def accumulate(acc, Xi):
     The leading min(kappa, rank) triplets of Xi are appended and the merged
     singular values are re-sorted decreasingly (stable, so previously held
     values win ties); everything beyond position kappa is discarded.  A zero
-    snapshot contributes nothing and leaves the state untouched.
+    snapshot contributes nothing and leaves the state untouched.  Xi is a
+    matrix or the kernels.SvdTriplet factors of a factored snapshot run,
+    whose triplets are taken as they are.
 
     sigma_discard_max absorbs both kinds of loss: the snapshot's own
-    sigma_{kappa+1} (never appended; when the snapshot SVD returns fewer
-    triplets, the certified bound it gives in its place) and any merged
-    value pushed past the cap, so it bounds the blockwise reconstruction
-    error of the stream.
+    sigma_{kappa+1} (never appended; when the snapshot SVD or the factors
+    hold fewer triplets, the certified bound they carry in its place) and
+    any merged value pushed past the cap, so it bounds the blockwise
+    reconstruction error of the stream.
     """
-    Xi = np.asarray(Xi, dtype=float)
-    if not np.all(np.isfinite(Xi)):
+    if isinstance(Xi, kernels.SvdTriplet):
+        trip, parts = Xi, (Xi.U, Xi.S, Xi.V)
+    else:
+        Xi = np.asarray(Xi, dtype=float)
+        trip, parts = None, (Xi,)
+    if not all(np.all(np.isfinite(M)) for M in parts):
         raise InputError("snapshot contains non-finite entries")
     if not acc.is_empty and Xi.shape != (acc.Vt.shape[0], acc.Wh.shape[0]):
         raise DimensionError(
             f"snapshot shape {Xi.shape} does not match the stream "
             f"({acc.Vt.shape[0]}, {acc.Wh.shape[0]})"
         )
-    if np.linalg.norm(Xi) == 0.0:
+    if _is_zero(Xi):
         return acc
 
     cap = min(acc.kappa, min(Xi.shape))
     probe = min(acc.kappa + 1, min(Xi.shape))
-    trip = kernels.truncated_svd(Xi, probe)
+    if trip is None:
+        trip = kernels.truncated_svd(Xi, probe)
     # sigma_{kappa+1}, or the certified bound on it when fewer triplets came back
     snapshot_discard = float(trip.S[cap]) if len(trip.S) > cap else trip.tail
     keep = trip.S[:cap] >= NEGLIGIBLE_REL * trip.S[0]
     U, s, V = trip.U[:, :cap][:, keep], trip.S[:cap][keep], trip.V[:, :cap][:, keep]
     U, V = _sign_normalize(U, V)
 
-    symmetric = acc.symmetric_stream and kernels.is_symmetric(Xi, STREAM_SYM_TOL)
+    symmetric = acc.symmetric_stream and _is_symmetric(Xi)
     sid = np.full(len(s), acc.count_processed, dtype=int)
 
     if acc.is_empty:
@@ -167,13 +174,40 @@ class BasisPair:
         return self.Wr.shape[1]
 
 
+def _is_zero(Xi):
+    return not np.any(Xi.S if isinstance(Xi, kernels.SvdTriplet) else Xi)
+
+
+def _is_symmetric(Xi):
+    """kernels.is_symmetric at STREAM_SYM_TOL; for factors U S V^T from the
+    factors [U S, -V S] [V, U]^T of X - X^T, without forming either."""
+    if not isinstance(Xi, kernels.SvdTriplet):
+        return kernels.is_symmetric(Xi, STREAM_SYM_TOL)
+    if Xi.shape[0] != Xi.shape[1]:
+        return False
+    skew = kernels.factored_svd(np.hstack([Xi.U * Xi.S, -(Xi.V * Xi.S)]), np.hstack([Xi.V, Xi.U]))
+    return np.linalg.norm(skew.S) <= STREAM_SYM_TOL * np.linalg.norm(Xi.S)
+
+
 def projection_error(Xi, basis, norm="fro"):
     """Relative two-sided projection error of Xi onto a pruned basis pair.
 
     Measures ||Xi - Vl Vl^T Xi Wr Wr^T|| / ||Xi||, i.e. how well the
     deliverable bases (not the raw accumulator span) reproduce Xi.  A zero
-    snapshot scores 0.
+    snapshot scores 0.  For factors Xi = U S V^T the residual is the
+    product [U S, -Vl C] [V, Wr]^T with C = Vl^T U S V^T Wr, and its norm
+    comes from the singular values of that product (kernels.factored_svd),
+    in O(n (r + nu)^2) and without cancellation.
     """
+    if isinstance(Xi, kernels.SvdTriplet):
+        if _is_zero(Xi):
+            return 0.0
+        ord_ = None if norm == "fro" else np.inf    # the norm of the singular values
+        US = Xi.U * Xi.S
+        core = (basis.Vl.T @ US) @ (Xi.V.T @ basis.Wr)
+        resid = kernels.factored_svd(np.hstack([US, -(basis.Vl @ core)]),
+                                     np.hstack([Xi.V, basis.Wr]))
+        return float(np.linalg.norm(resid.S, ord_) / np.linalg.norm(Xi.S, ord_))
     Xi = np.asarray(Xi, dtype=float)
     ord_ = None if norm == "fro" else 2
     denom = np.linalg.norm(Xi, ord_)
@@ -313,7 +347,10 @@ def dynamic_pod(source, tol, kappa, tau, n_max=None, norm="fro", detect_symmetry
     truncated bases are what the reduced model uses.  It also decouples the
     selection count from the truncation level, since tightening tau
     enriches the bases at the same rate it tightens the test.  The sweep
-    itself is _phased_selection.  Returns (BasisPair, SelectionReport).
+    itself is _phased_selection.  Snapshots are read with
+    source.snapshot(i), so those a factored snapshot run keeps as factors
+    are scored and accumulated as factors.  Returns (BasisPair,
+    SelectionReport).
     """
     times = np.asarray(source.times, dtype=float)
     m = effective_n_max(len(times) if n_max is None else min(n_max, len(times)))
@@ -323,14 +360,14 @@ def dynamic_pod(source, tol, kappa, tau, n_max=None, norm="fro", detect_symmetry
     peak = 0
 
     def score(i):
-        Xi = source.matrix(i)
+        Xi = source.snapshot(i)
         if deliv is None:
-            return 0.0 if np.linalg.norm(Xi) == 0.0 else 1.0
+            return 0.0 if _is_zero(Xi) else 1.0
         return projection_error(Xi, deliv, norm)
 
     def include(i):
         nonlocal acc, deliv, peak
-        acc = accumulate(acc, source.matrix(i))
+        acc = accumulate(acc, source.snapshot(i))
         if acc.is_empty:
             return False
         deliv = prune(acc, tau, m)

@@ -237,6 +237,17 @@ def test_solve_rejects_out_of_range_interpolation_index(artifacts, tmp_path, cap
     assert "artifact error" in capsys.readouterr().err
 
 
+def test_solve_rejects_oversized_basis_header(artifacts, tmp_path, capsys):
+    work = tmp_path / "oversized"
+    shutil.copytree(artifacts, work)
+    path = work / "u_basis.mor2bas"
+    raw = bytearray(path.read_bytes())
+    raw[9:17] = (2**32 - 1).to_bytes(4, "little") * 2    # Vl rows and cols
+    path.write_bytes(bytes(raw))
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    assert "artifact error" in capsys.readouterr().err
+
+
 def test_reduce_maps_divergence_to_exit_3(tmp_path, capsys):
     # a stiff reaction on the coarse snapshot grid overflows the explicit part
     with np.errstate(over="ignore", invalid="ignore"):

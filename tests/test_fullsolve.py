@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import full_step, make_spec, run_full, stable_pair
-from mor2 import fullsolve, kernels, problems
+from mor2 import fullsolve, kernels, persist, pod, problems
 from mor2.errors import ConditioningError, DimensionError, DivergenceError
 
 
@@ -282,3 +283,151 @@ def test_divergence_step_index_matches_legacy():
                 run_full(spec, grid, scheme=scheme)
         assert 1 < len(ref) - 1 < grid.n_t      # the legacy run diverged mid-run
         assert err.value.step == len(ref) - 1
+
+
+# ------------------------------------------------------ the factored snapshot run
+
+FACTORED_N = 300    # above kernels.DENSE_SVD_MAX: trajectory_source keeps factors
+
+
+def _dense_route(spec, times, scheme):
+    """trajectory_source with DENSE_SVD_MAX raised past n: the dense run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "DENSE_SVD_MAX", 10**9)
+        return fullsolve.trajectory_source(spec, times, scheme)
+
+
+@functools.lru_cache(maxsize=None)
+def _both_routes(name, scheme):
+    spec = problems.build_problem(name, FACTORED_N)
+    times = pod.candidate_times(spec.t_final, 24)
+    factored = fullsolve.trajectory_source(spec, times, scheme)
+    return spec, times, factored, _dense_route(spec, times, scheme)
+
+
+def _is_factored(traj):
+    return all(isinstance(M, kernels.SvdTriplet) for M in traj.states[1:])
+
+
+ROUTE_CASES = pytest.mark.parametrize("name, scheme", [(p, s) for p in ("ac1", "rdc")
+                                                       for s in ("imex", "etd")])
+
+
+@ROUTE_CASES
+def test_factored_run_matches_dense_route(name, scheme):
+    spec, times, (state, nonl, _), (dstate, dnonl, _) = _both_routes(name, scheme)
+    assert _is_factored(state) and _is_factored(nonl)
+    assert isinstance(nonl.states[0], kernels.SvdTriplet)
+    assert not any(isinstance(M, kernels.SvdTriplet) for M in dstate.states + dnonl.states)
+    assert np.array_equal(state.matrix(0), spec.U0)
+    for i, t in enumerate(times):
+        U, want = state.matrix(i), dstate.matrix(i)
+        assert np.linalg.norm(U - want) <= 1e-12 * np.linalg.norm(want)
+        F = problems.eval_nonlinear(spec, U, t)
+        assert np.linalg.norm(nonl.matrix(i) - F) <= 1e-12 * np.linalg.norm(F)
+        # the factors are low rank and carry orthonormal singular vectors
+        trip = nonl.states[i]
+        assert len(trip.S) <= FACTORED_N // 4
+        assert np.allclose(trip.U.T @ trip.U, np.eye(len(trip.S)), atol=1e-12)
+        assert np.allclose(trip.V.T @ trip.V, np.eye(len(trip.S)), atol=1e-12)
+
+
+def test_factored_snapshots_persist_as_dense_matrices(tmp_path):
+    _, times, (state, nonl, _), _ = _both_routes("ac1", "imex")
+    for traj in (state, nonl):
+        persist.write_snapshots(tmp_path / "snap.bin", traj)
+        back = persist.read_snapshots(tmp_path / "snap.bin")
+        assert np.array_equal(back.times, times)
+        assert all(np.array_equal(back.matrix(i), traj.matrix(i)) for i in range(len(times)))
+
+
+@ROUTE_CASES
+def test_factored_run_keeps_the_selection(name, scheme):
+    _, _, factored, dense = _both_routes(name, scheme)
+    for src, ref in zip(factored[:2], dense[:2]):
+        basis, rep = pod.dynamic_pod(src, 1e-3, 50, 1e-3)
+        want, wrep = pod.dynamic_pod(ref, 1e-3, 50, 1e-3)
+        assert np.array_equal(rep.included_times, wrep.included_times)
+        assert np.array_equal(rep.evaluated_times, wrep.evaluated_times)
+        assert (basis.nu_l, basis.nu_r) == (want.nu_l, want.nu_r)
+        assert rep.peak_storage_floats == wrep.peak_storage_floats
+        assert np.allclose(rep.per_time_error, wrep.per_time_error, rtol=1e-6, atol=1e-12)
+
+
+def test_rank_heavy_start_takes_the_dense_route():
+    spec = problems.build_problem("ac1", FACTORED_N)
+    spec.U0 = 0.05 * np.random.default_rng(90).standard_normal(spec.U0.shape)
+    times = np.linspace(0.0, 0.5, 5)
+    state, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
+    dstate, dnonl, _ = _dense_route(spec, times, "imex")
+    for got, want in zip(state.states + nonl.states, dstate.states + dnonl.states):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _short_rdc_run():
+    spec = problems.build_problem("rdc", FACTORED_N)
+    times = np.linspace(0.0, 0.1, 4)
+    return spec, times, _dense_route(spec, times, "etd")
+
+
+# compressions in order: U0, F0, the first step (cold), F1 and the second step (warm)
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
+def test_uncertified_compression_reruns_the_dense_route(monkeypatch, fail_at):
+    spec, times, (dstate, dnonl, _) = _short_rdc_run()
+    compress, calls = kernels.compress, []
+
+    def failing(M, start=None):
+        calls.append(start is not None)
+        return None if len(calls) == fail_at else compress(M, start)
+
+    monkeypatch.setattr(kernels, "compress", failing)
+    state, nonl, _ = fullsolve.trajectory_source(spec, times, "etd")
+    assert calls == [False, False, False, True, True][:fail_at]
+    for got, want in zip(state.states + nonl.states, dstate.states + dnonl.states):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+def _large_bidiagonal_spec(sub):
+    """A of _bidiagonal_spec at FACTORED_N, B = -I, a rank-3 start and a
+    cubic F, so that the states stay low rank."""
+    n = FACTORED_N
+    A = np.diag(-np.full(n, 1.5)) + np.diag(np.ones(n - 1), 1) + np.diag(sub * np.ones(n - 1), -1)
+    rng = np.random.default_rng(91)
+    U0 = rng.standard_normal((n, 3)) @ rng.standard_normal((3, n)) / n
+    return make_spec(A, -np.eye(n), U0, nonlinear=lambda U, X, Y, t: U - U * U * U,
+                     t_final=0.5)
+
+
+def test_complex_coordinates_take_the_dense_route():
+    spec = _large_bidiagonal_spec(-1.0)
+    times = np.linspace(0.0, 0.5, 4)
+    state, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
+    assert not any(isinstance(M, kernels.SvdTriplet) for M in state.states + nonl.states)
+
+
+def test_factored_run_in_schur_coordinates():
+    # a Jordan block: real Schur coordinates, in which advance returns a new matrix
+    spec = _large_bidiagonal_spec(0.0)
+    assert kernels.Propagator(spec.A, spec.B, "imex").fallback
+    times = np.linspace(0.0, 0.5, 4)
+    state, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
+    dstate, _, _ = _dense_route(spec, times, "imex")
+    assert _is_factored(state) and _is_factored(nonl)
+    for i in range(len(times)):
+        want = dstate.matrix(i)
+        assert np.linalg.norm(state.matrix(i) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_factored_run_holds_no_dense_snapshots():
+    # the dense run holds 80 n x n snapshots; the factored one n x r factors
+    # and a few transient n x n arrays
+    spec = problems.build_problem("ac1", FACTORED_N)
+    times = pod.candidate_times(spec.t_final, 40)
+    tracemalloc.start()
+    try:
+        fullsolve.trajectory_source(spec, times, "imex")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * FACTORED_N**2

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,3 +243,35 @@ def test_basis_read_rejects_bad_interpolation_trailer(tmp_path, field, value):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         persist.read_basis(path)
+
+
+# ------------------------------------------------- sizes claimed by a header
+
+def _basis_header(rows, cols):
+    return struct.pack("<7sHII", persist.BASIS_MAGIC, persist.VERSION, rows, cols)
+
+
+def _snapshot_header(rows, cols, count=1):
+    return struct.pack("<8sHBIII", persist.SNAP_MAGIC, persist.VERSION, 0, rows, cols, count)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (2**32 - 1, 2**32 - 1),     # 8 rows cols bytes overflow a C ssize_t
+    (40000, 40000),             # 12.8 GB, more than the address space may hold
+])
+@pytest.mark.parametrize("header, read", [
+    (_basis_header, persist.read_basis),
+    (_snapshot_header, persist.read_snapshots),
+])
+def test_oversized_header_is_a_format_error_without_allocating(tmp_path, rows, cols,
+                                                               header, read):
+    path = tmp_path / "x.bin"
+    path.write_bytes(header(rows, cols) + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="claimed"):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -130,6 +130,42 @@ def test_accumulate_symmetry_flag_latches():
     assert not acc.symmetric_stream
 
 
+def _factors(X, tail=0.0):
+    """X as the kernels.SvdTriplet a factored snapshot run stores."""
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    k = int(np.sum(s > 1e-14 * s[0]))
+    return kernels.SvdTriplet(U[:, :k], s[:k], Vh[:k].T, tail)
+
+
+def test_accumulate_takes_factors_as_they_are():
+    rng = np.random.default_rng(88)
+    snaps = [oracles.random_orthonormal(rng, 12, 4) @ rng.standard_normal((4, 10))
+             for _ in range(3)]
+    dense = factored = pod.TripletAccumulator.empty(6)
+    for Xi in snaps:
+        dense = pod.accumulate(dense, Xi)
+        factored = pod.accumulate(factored, _factors(Xi, tail=1e-15))
+    assert np.allclose(factored.St, dense.St, rtol=1e-12, atol=0.0)
+    assert np.allclose(factored.Vt, dense.Vt, atol=1e-10)
+    assert np.allclose(factored.Wh, dense.Wh, atol=1e-10)
+    assert np.array_equal(factored.source_ids, dense.source_ids)
+    # four triplets each, kappa 6: the cap and the carried tail set the bound
+    assert factored.sigma_discard_max == max(dense.sigma_discard_max, 1e-15)
+    assert pod.accumulate(factored, _factors(np.zeros((12, 10)))) is factored
+    with pytest.raises(DimensionError):
+        pod.accumulate(factored, _factors(snaps[0].T))
+
+
+def test_factored_symmetry_test_matches_the_matrix():
+    rng = np.random.default_rng(89)
+    G = rng.standard_normal((9, 3))
+    for X, want in ((G @ G.T, True), (G @ rng.standard_normal((3, 9)), False),
+                    (G @ G.T + 1e-9 * np.outer(G[:, 0], G[:, 1]), False)):
+        acc = pod.accumulate(pod.TripletAccumulator.empty(5), _factors(X))
+        assert acc.symmetric_stream == want
+        assert kernels.is_symmetric(X, pod.STREAM_SYM_TOL) == want
+
+
 # -------------------------------------------------------------- error measures
 
 def test_inclusion_error_edge_cases():
@@ -159,6 +195,32 @@ def test_projection_error_matches_explicit_projector():
         want = oracles.explicit_projection_error(Xi, basis.Vl, basis.Wr, norm)
         assert np.isclose(pod.projection_error(Xi, basis, norm), want, atol=1e-12)
     assert pod.projection_error(np.zeros((10, 10)), basis) == 0.0
+
+
+def test_projection_error_of_factors_matches_the_oracle():
+    rng = np.random.default_rng(90)
+    acc = pod.TripletAccumulator.empty(8)
+    for _ in range(3):
+        acc = pod.accumulate(acc, rng.standard_normal((12, 10)))
+    basis = pod.prune(acc, 1e-3, 8)
+    Xi = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 10))
+    for norm in ("fro", "2"):
+        want = oracles.explicit_projection_error(Xi, basis.Vl, basis.Wr, norm)
+        assert np.isclose(pod.projection_error(_factors(Xi), basis, norm), want,
+                          rtol=1e-12, atol=0.0)
+    assert pod.projection_error(_factors(np.zeros((12, 10))), basis) == 0.0
+    # a snapshot the bases miss by delta in one direction: the error keeps
+    # its digits, where ||X||^2 - ||P X||^2 would leave only ~1e-8
+    p = rng.standard_normal(12)
+    p -= basis.Vl @ (basis.Vl.T @ p)
+    p /= np.linalg.norm(p)
+    q = rng.standard_normal(10) / np.sqrt(10)
+    core = rng.standard_normal((basis.nu_l, basis.nu_r))
+    delta = 1e-10
+    Xi = basis.Vl @ core @ basis.Wr.T + delta * np.outer(p, q)
+    err = pod.projection_error(_factors(Xi), basis)
+    want = delta * np.linalg.norm(q) / np.linalg.norm(Xi)
+    assert abs(err - want) <= 1e-4 * want
 
 
 def test_retained_count_matches_oracle():
