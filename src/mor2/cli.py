@@ -8,9 +8,13 @@ Subcommands
     sweep-tau   selection counts as the tolerance varies
 
 Configuration is a flat key=value file; any key can be overridden on the
-command line with --set key=value.  Numeric report CSVs are byte-identical
-for identical configurations; wall-clock measurements go to a JSON
-sidecar (run_info.json) because they can never be.
+command line with --set key=value.  --out DIR (default "out") names the
+output directory; it is not a configuration key and no report echoes it.
+Every command is an entry of _COMMANDS: main checks the problem family,
+creates the output directory, runs the command and writes the one run
+record, run_info.json, from the timings or counts the command returns.
+Numeric report CSVs are byte-identical for identical configurations;
+wall-clock measurements go to run_info.json because they can never be.
 
 Exit codes: 0 ok, 2 configuration, 3 numeric failure, 4 artifact integrity.
 """
@@ -36,6 +40,7 @@ from .errors import (
 PDE_PROBLEMS = ("ac1", "ac2", "rdc")
 ANALYTIC_PROBLEMS = ("phi1", "phi2", "phi3")
 METHODS = ("dynamic", "vanilla", "vector")
+ONLINE_REPEATS = 3      # reduced solves timed by solve; their median is reported
 
 
 @dataclasses.dataclass
@@ -53,7 +58,6 @@ class RunConfig:
     reference_scheme: str = "etd"
     reference: bool = True
     methods: tuple = ("dynamic",)
-    out: str = "out"
     override_memory_guard: bool = False
     norm: str = "fro"
     detect_symmetry: bool = False
@@ -61,7 +65,6 @@ class RunConfig:
     eps2: float = None
     test_times: int = 300
     taus: tuple = (1e-2, 1e-3, 1e-4)
-    online_repeats: int = 3
 
     def __post_init__(self):
         if self.tol is None:
@@ -95,8 +98,6 @@ class RunConfig:
             raise ConfigError("test_times must be positive")
         if not self.taus or not all(0.0 < t < 1.0 for t in self.taus):
             raise ConfigError("taus must be values strictly between 0 and 1")
-        if self.online_repeats < 1:
-            raise ConfigError("online_repeats must be positive")
         return self
 
 
@@ -132,11 +133,7 @@ def load_config(path=None, sets=()):
         key = key.strip()
         if key not in fields:
             raise ConfigError(f"unknown configuration key {key!r} ({where})")
-        f = fields[key]
-        kind = f.type if isinstance(f.type, type) else {
-            "str": str, "int": int, "float": float, "bool": bool, "tuple": tuple,
-        }.get(f.type, str)
-        values[key] = _coerce(key, kind, raw)
+        values[key] = _coerce(key, fields[key].type, raw)
 
     if path is not None:
         text = Path(path)
@@ -190,12 +187,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _out_dir(cfg):
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _build_spec(cfg):
     params = {}
     if cfg.eps1 is not None:
@@ -212,12 +203,23 @@ def _config_fingerprint(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _snapshots(cfg, spec):
+    """State and nonlinearity sources on the candidate times, and their seconds."""
+    times = pod.candidate_times(spec.t_final, cfg.n_max)
+    return fullsolve.trajectory_source(spec, times, cfg.snapshot_scheme)
+
+
+def _widths(basis):
+    """Left and right basis widths; a vectorized basis counts k on both sides."""
+    if isinstance(basis, pod.VectorBasis):
+        return basis.k, basis.k
+    return basis.nu_l, basis.nu_r
+
+
 # ---------------------------------------------------------------------------
 # funcapprox
 
-def cmd_funcapprox(cfg):
-    if cfg.problem not in ANALYTIC_PROBLEMS:
-        raise ConfigError("funcapprox expects problem in " + "/".join(ANALYTIC_PROBLEMS))
+def cmd_funcapprox(cfg, out):
     fn = problems.analytic_function(cfg.problem, cfg.n)
     times = pod.candidate_times(fn.t_final, cfg.n_max)
     source = fullsolve.AnalyticSource(fn, times)
@@ -249,36 +251,24 @@ def cmd_funcapprox(cfg):
                 errs.append(float(e))
             else:
                 errs.append(pod.projection_error(B, basis, cfg.norm))
-        mean_err = float(np.mean(errs))
-        if method == "vector":
-            nu_l = nu_r = basis.k
-        else:
-            nu_l, nu_r = basis.nu_l, basis.nu_r
-        rows.append([method, rep.phases_used, rep.n_s, nu_l, nu_r, mean_err])
+        rows.append([method, rep.phases_used, rep.n_s, *_widths(basis),
+                     float(np.mean(errs))])
         timings[method] = {"basis_seconds": seconds}
 
-    out = _out_dir(cfg)
     _write_csv(out / "funcapprox_report.csv", cfg,
                ["method", "phases", "n_s", "nu_l", "nu_r", "mean_error"], rows)
-    _write_json(out / "run_info.json", {
-        "command": "funcapprox", "config": dataclasses.asdict(cfg),
-        "timings": timings,
-    })
     for row in rows:
         print("funcapprox:", row[0], "phases", row[1], "n_s", row[2],
               "dims", (row[3], row[4]), "mean_error", f"{row[5]:.3e}")
-    return 0
+    return {"timings": timings}
 
 
 # ---------------------------------------------------------------------------
 # reduce
 
-def _offline_pipeline(cfg, spec):
-    """Snapshot generation plus dynamic two-sided reduction of both streams."""
-    times = pod.candidate_times(spec.t_final, cfg.n_max)
-    state_src, nonl_src, snap_seconds = fullsolve.trajectory_source(
-        spec, times, cfg.snapshot_scheme
-    )
+def cmd_reduce(cfg, out):
+    spec = _build_spec(cfg)
+    state_src, nonl_src, snap_seconds = _snapshots(cfg, spec)
     ubasis, urep = pod.dynamic_pod(state_src, cfg.tol, cfg.kappa, cfg.tau,
                                    norm=cfg.norm, detect_symmetry=cfg.detect_symmetry)
     fbasis, frep = pod.dynamic_pod(nonl_src, cfg.tol, cfg.kappa, cfg.tau,
@@ -287,61 +277,30 @@ def _offline_pipeline(cfg, spec):
     op = deim.build_deim(fbasis)
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
     deim_seconds = time.perf_counter() - tic
-    return {
-        "sources": (state_src, nonl_src),
-        "snap_seconds": snap_seconds,
-        "ubasis": ubasis, "urep": urep,
-        "fbasis": fbasis, "frep": frep,
-        "op": op, "factors": factors,
-        "deim_seconds": deim_seconds,
-    }
-
-
-def cmd_reduce(cfg):
-    if cfg.problem not in PDE_PROBLEMS:
-        raise ConfigError("reduce expects problem in " + "/".join(PDE_PROBLEMS))
-    spec = _build_spec(cfg)
-    pipe = _offline_pipeline(cfg, spec)
-    ubasis, fbasis = pipe["ubasis"], pipe["fbasis"]
-    urep, frep = pipe["urep"], pipe["frep"]
 
     # Validate assembly before persisting anything.
-    rom.assemble_rom(spec, ubasis, pipe["factors"])
+    rom.assemble_rom(spec, ubasis, factors)
 
-    out = _out_dir(cfg)
     persist.write_basis(out / "u_basis.mor2bas", ubasis)
-    persist.write_basis(out / "f_basis.mor2bas", fbasis, pipe["op"])
+    persist.write_basis(out / "f_basis.mor2bas", fbasis, op)
 
-    rows = [
-        ["state", urep.phases_used, urep.n_s, ubasis.nu_l, ubasis.nu_r,
-         urep.peak_storage_floats],
-        ["nonlinearity", frep.phases_used, frep.n_s, fbasis.nu_l, fbasis.nu_r,
-         frep.peak_storage_floats],
-    ]
-    extra_rows = []
-    if "vanilla" in cfg.methods or "vector" in cfg.methods:
-        state_src, nonl_src = pipe["sources"]
-        if "vanilla" in cfg.methods:
-            vb, vrep = pod.vanilla_pod(state_src, cfg.kappa, cfg.tau)
-            fb, frep2 = pod.vanilla_pod(nonl_src, cfg.kappa, cfg.tau)
-            extra_rows.append(["vanilla-state", 0, vrep.n_s, vb.nu_l, vb.nu_r,
-                               vrep.peak_storage_floats])
-            extra_rows.append(["vanilla-nonlinearity", 0, frep2.n_s, fb.nu_l,
-                               fb.nu_r, frep2.peak_storage_floats])
-        if "vector" in cfg.methods:
-            vsb, vsrep = pod.vector_pod(state_src, cfg.tol, cfg.tau,
-                                        override_guard=cfg.override_memory_guard)
-            vfb, vfrep = pod.vector_pod(nonl_src, cfg.tol, cfg.tau,
-                                        override_guard=cfg.override_memory_guard)
-            extra_rows.append(["vector-state", vsrep.phases_used, vsrep.n_s,
-                               vsb.k, vsb.k, vsrep.peak_storage_floats])
-            extra_rows.append(["vector-nonlinearity", vfrep.phases_used,
-                               vfrep.n_s, vfb.k, vfb.k,
-                               vfrep.peak_storage_floats])
+    def row(name, basis, rep):
+        return [name, rep.phases_used, rep.n_s, *_widths(basis), rep.peak_storage_floats]
 
-    _write_csv(out / "offline_report.csv", cfg,
-               ["stream", "phases", "n_s", "nu_l", "nu_r", "storage_floats"],
-               rows + extra_rows)
+    header = ["stream", "phases", "n_s", "nu_l", "nu_r", "storage_floats"]
+    rows = [row("state", ubasis, urep), row("nonlinearity", fbasis, frep)]
+    selection = {r[0]: dict(zip(header[1:], r[1:])) for r in rows}
+    for method in ("vanilla", "vector"):
+        if method not in cfg.methods:
+            continue
+        for stream, src in (("state", state_src), ("nonlinearity", nonl_src)):
+            if method == "vanilla":
+                basis, rep = pod.vanilla_pod(src, cfg.kappa, cfg.tau)
+            else:
+                basis, rep = pod.vector_pod(src, cfg.tol, cfg.tau,
+                                            override_guard=cfg.override_memory_guard)
+            rows.append(row(f"{method}-{stream}", basis, rep))
+    _write_csv(out / "offline_report.csv", cfg, header, rows)
 
     decay_rows = []
     sv = [ubasis.singvals_l, ubasis.singvals_r, fbasis.singvals_l, fbasis.singvals_r]
@@ -351,42 +310,30 @@ def cmd_reduce(cfg):
                ["index", "sigma_l_state", "sigma_r_state",
                 "sigma_l_nonlinearity", "sigma_r_nonlinearity"], decay_rows)
 
-    manifest = {
+    timings = {
+        "snapshot_seconds": snap_seconds,
+        "state_basis_seconds": urep.seconds,
+        "nonlinearity_basis_seconds": frep.seconds,
+        "deim_seconds": deim_seconds,
+    }
+    _write_json(out / "manifest.json", {
         "fingerprint": _config_fingerprint(cfg),
         "problem": cfg.problem, "n": cfg.n, "n_max": cfg.n_max,
         "kappa": cfg.kappa, "tau": cfg.tau, "tol": cfg.tol,
         "artifacts": ["u_basis.mor2bas", "f_basis.mor2bas"],
-        "selection": {
-            "state": {"phases": urep.phases_used, "n_s": urep.n_s,
-                      "nu_l": ubasis.nu_l, "nu_r": ubasis.nu_r,
-                      "storage_floats": urep.peak_storage_floats},
-            "nonlinearity": {"phases": frep.phases_used, "n_s": frep.n_s,
-                             "nu_l": fbasis.nu_l, "nu_r": fbasis.nu_r,
-                             "storage_floats": frep.peak_storage_floats},
-        },
-        "timings": {
-            "snapshot_seconds": pipe["snap_seconds"],
-            "state_basis_seconds": urep.seconds,
-            "nonlinearity_basis_seconds": frep.seconds,
-            "deim_seconds": pipe["deim_seconds"],
-        },
-    }
-    _write_json(out / "manifest.json", manifest)
-    _write_json(out / "run_info.json", {
-        "command": "reduce", "config": dataclasses.asdict(cfg),
-        "timings": manifest["timings"],
+        "selection": selection,
+        "timings": timings,
     })
     print(f"reduce: state phases {urep.phases_used} n_s {urep.n_s} "
           f"dims ({ubasis.nu_l},{ubasis.nu_r}); nonlinearity phases "
           f"{frep.phases_used} n_s {frep.n_s} dims ({fbasis.nu_l},{fbasis.nu_r})")
-    return 0
+    return {"timings": timings}
 
 
 # ---------------------------------------------------------------------------
 # solve
 
-def _load_artifacts(cfg):
-    out = Path(cfg.out)
+def _load_artifacts(cfg, out):
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():
         raise IntegrityError(f"missing manifest: {manifest_path}")
@@ -405,16 +352,14 @@ def _load_artifacts(cfg):
     return manifest, ubasis, fbasis, op
 
 
-def cmd_solve(cfg):
-    if cfg.problem not in PDE_PROBLEMS:
-        raise ConfigError("solve expects problem in " + "/".join(PDE_PROBLEMS))
+def cmd_solve(cfg, out):
     spec = _build_spec(cfg)
-    manifest, ubasis, fbasis, op = _load_artifacts(cfg)
+    manifest, ubasis, fbasis, op = _load_artifacts(cfg, out)
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
     model = rom.assemble_rom(spec, ubasis, factors)
     grid = fullsolve.TimeGrid(spec.t_final, cfg.n_t)
 
-    runs = [rom.run_online(model, grid) for _ in range(cfg.online_repeats)]
+    runs = [rom.run_online(model, grid) for _ in range(ONLINE_REPEATS)]
     online_seconds = float(np.median([r.seconds for r in runs]))
     traj = runs[-1]
 
@@ -426,7 +371,6 @@ def cmd_solve(cfg):
         mean_err, per_node = rom.relative_errors(reference, traj,
                                                  lambda Y: rom.lift(ubasis, Y))
 
-    out = _out_dir(cfg)
     sel = manifest["selection"]
     rows = [[
         "dynamic",
@@ -449,55 +393,37 @@ def cmd_solve(cfg):
                    [[t, e] for t, e in per_node])
     rom.export_trajectory_csv(out / "reduced_trajectory.csv", traj)
     persist.write_snapshots(out / "reduced_states.mor2snap", traj)
-    _write_json(out / "run_info.json", {
-        "command": "solve", "config": dataclasses.asdict(cfg),
-        "timings": {
-            "online_seconds_median": online_seconds,
-            "online_seconds_all": [r.seconds for r in runs],
-            "per_step_seconds": online_seconds / max(grid.n_t, 1),
-            "offline": manifest["timings"],
-        },
-    })
     msg = f"solve: {grid.n_t} steps in {online_seconds:.4f}s"
     if mean_err is not None:
         msg += f", mean relative error {mean_err:.3e}"
     print(msg)
-    return 0
+    return {"timings": {
+        "online_seconds_median": online_seconds,
+        "online_seconds_all": [r.seconds for r in runs],
+        "per_step_seconds": online_seconds / max(grid.n_t, 1),
+        "offline": manifest["timings"],
+    }}
 
 
 # ---------------------------------------------------------------------------
 # full
 
-def cmd_full(cfg):
-    if cfg.problem not in PDE_PROBLEMS:
-        raise ConfigError("full expects problem in " + "/".join(PDE_PROBLEMS))
+def cmd_full(cfg, out):
     spec = _build_spec(cfg)
-    times = pod.candidate_times(spec.t_final, cfg.n_max)
     tic = time.perf_counter()
-    state_src, nonl_src, snap_seconds = fullsolve.trajectory_source(
-        spec, times, cfg.snapshot_scheme
-    )
-    out = _out_dir(cfg)
+    state_src, nonl_src, snap_seconds = _snapshots(cfg, spec)
     persist.write_snapshots(out / "state.mor2snap", state_src)
     persist.write_snapshots(out / "nonlinearity.mor2snap", nonl_src)
-    _write_json(out / "run_info.json", {
-        "command": "full", "config": dataclasses.asdict(cfg),
-        "timings": {"snapshot_seconds": snap_seconds,
-                    "total_seconds": time.perf_counter() - tic},
-    })
     print(f"full: stored {len(state_src.times)} snapshots of size {cfg.n}")
-    return 0
+    return {"timings": {"snapshot_seconds": snap_seconds,
+                        "total_seconds": time.perf_counter() - tic}}
 
 
 # ---------------------------------------------------------------------------
 # sweep-tau
 
-def cmd_sweep_tau(cfg):
-    if cfg.problem not in PDE_PROBLEMS:
-        raise ConfigError("sweep-tau expects problem in " + "/".join(PDE_PROBLEMS))
-    spec = _build_spec(cfg)
-    times = pod.candidate_times(spec.t_final, cfg.n_max)
-    state_src, _, _ = fullsolve.trajectory_source(spec, times, cfg.snapshot_scheme)
+def cmd_sweep_tau(cfg, out):
+    state_src, _, _ = _snapshots(cfg, _build_spec(cfg))
 
     rows = []
     counts = {"dynamic": [], "vector": []}
@@ -510,26 +436,24 @@ def cmd_sweep_tau(cfg):
         rows.append([tau, "vector", vrep.n_s])
         counts["vector"].append(vrep.n_s)
 
-    out = _out_dir(cfg)
     _write_csv(out / "sweep_tau.csv", cfg, ["tau", "method", "n_s"], rows)
-    _write_json(out / "run_info.json", {
-        "command": "sweep-tau", "config": dataclasses.asdict(cfg),
-        "counts": counts,
-    })
     for method, ns in counts.items():
         print(f"sweep-tau: {method} n_s over taus {list(cfg.taus)} -> {ns} "
               f"(range {max(ns) - min(ns)})")
-    return 0
+    return {"counts": counts}
 
 
 # ---------------------------------------------------------------------------
 
+# name -> (command, problems it accepts).  A command takes the validated
+# configuration and the existing output directory and returns the
+# {"timings": ...} or {"counts": ...} part of its run record.
 _COMMANDS = {
-    "funcapprox": cmd_funcapprox,
-    "reduce": cmd_reduce,
-    "solve": cmd_solve,
-    "full": cmd_full,
-    "sweep-tau": cmd_sweep_tau,
+    "funcapprox": (cmd_funcapprox, ANALYTIC_PROBLEMS),
+    "reduce": (cmd_reduce, PDE_PROBLEMS),
+    "solve": (cmd_solve, PDE_PROBLEMS),
+    "full": (cmd_full, PDE_PROBLEMS),
+    "sweep-tau": (cmd_sweep_tau, PDE_PROBLEMS),
 }
 
 
@@ -544,22 +468,24 @@ def build_parser():
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--override-memory-guard", action="store_true",
-                       help="allow vectorized baselines beyond the size guard")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    sets = list(args.set)
-    if args.out is not None:
-        sets.append(f"out={args.out}")
-    if args.override_memory_guard:
-        sets.append("override_memory_guard=true")
+    cmd, accepted = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config, sets)
-        return _COMMANDS[args.command](cfg)
+        cfg = load_config(args.config, args.set)
+        if cfg.problem not in accepted:
+            raise ConfigError(f"{args.command} expects problem in " + "/".join(accepted))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        record = cmd(cfg, out)
+        _write_json(out / "run_info.json", {
+            "command": args.command, "config": dataclasses.asdict(cfg), **record,
+        })
+        return 0
     except (ConfigError, MemoryGuardError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -67,8 +67,14 @@ def build_deim(fbasis):
         col_idx = row_idx.copy()
     else:
         col_idx = kernels.pivoted_qr_indices(fbasis.Wr.T)
-    left = fbasis.Vl[row_idx, :]
-    right = fbasis.Wr[col_idx, :].T
+    return deim_operator(fbasis.Vl, fbasis.Wr, row_idx, col_idx)
+
+
+def deim_operator(Vl, Wr, row_idx, col_idx):
+    """The DeimOperator of a basis pair (Vl, Wr) at the given indices:
+    Pl^T Vl and Wr^T Pr, their LU factors and amplification constants."""
+    left = Vl[row_idx, :]
+    right = Wr[col_idx, :].T
     lu_left = _lu_or_raise(left, "row")
     lu_right = _lu_or_raise(right, "column")
     c_l = 1.0 / np.linalg.svd(left, compute_uv=False)[-1]

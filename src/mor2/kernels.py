@@ -20,7 +20,8 @@ from .errors import (
     StructureError,
 )
 
-# Tolerances; callers may override per call.
+# Tolerances and sizes, fixed for every call; is_symmetric alone takes its
+# tolerance as a parameter.
 SYM_REL_TOL = 1e-10        # relative asymmetry accepted by symmetric paths
 RANK_TOL = 1e-12           # pivot threshold relative to ||Bt||_F
 OVERLAP_TOL = 1e-12        # spectral-overlap threshold for Sylvester solves
@@ -85,7 +86,6 @@ class EigenPair:
     values: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray
-    symmetric: bool
 
 
 def truncated_svd(M, r):
@@ -188,7 +188,7 @@ def _range_svd(M, r, block, rng, start=None):
     return SvdTriplet(Q @ Ub[:, :k], s[:k].copy(), Vh[:k].T.copy(), tail)
 
 
-def pivoted_qr_indices(Bt, rank_tol=RANK_TOL):
+def pivoted_qr_indices(Bt):
     """Column-pivot sequence of a short fat matrix Bt (p, n), p <= n.
 
     Greedy residual-norm pivoting (Businger-Golub): at each step the column
@@ -208,9 +208,9 @@ def pivoted_qr_indices(Bt, rank_tol=RANK_TOL):
     for k in range(p):
         norms = np.linalg.norm(R[k:, k:], axis=0)
         j = k + int(np.argmax(norms))  # argmax returns the first maximum
-        if norms[j - k] < rank_tol * max(scale, 1e-300):
+        if norms[j - k] < RANK_TOL * max(scale, 1e-300):
             raise RankError(
-                f"pivot {k} fell below {rank_tol:.1e} * ||Bt||_F: input is rank deficient"
+                f"pivot {k} fell below {RANK_TOL:.1e} * ||Bt||_F: input is rank deficient"
             )
         if j != k:
             R[:, [k, j]] = R[:, [j, k]]
@@ -227,23 +227,23 @@ def pivoted_qr_indices(Bt, rank_tol=RANK_TOL):
     return cols[:p].copy()
 
 
-def sym_eig(S, rel_tol=SYM_REL_TOL):
+def sym_eig(S):
     """Orthogonal eigendecomposition of a symmetric matrix, values ascending."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionError("sym_eig expects a square matrix")
     _check_finite("S", S)
-    if not is_symmetric(S, rel_tol):
+    if not is_symmetric(S):
         raise StructureError("matrix is not symmetric within tolerance")
     vals, Q = np.linalg.eigh(0.5 * (S + S.T))
-    return EigenPair(vals, Q, Q.T.copy(), True)
+    return EigenPair(vals, Q, Q.T.copy())
 
 
-def general_eig(S, cond_limit=EIG_COND_LIMIT):
+def general_eig(S):
     """Eigendecomposition of a general square matrix with an explicit inverse.
 
     Raises ConditioningError when the eigenvector basis has 2-norm condition
-    number above cond_limit; callers then fall back to Schur-based solves.
+    number above EIG_COND_LIMIT; callers then fall back to Schur-based solves.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -251,25 +251,25 @@ def general_eig(S, cond_limit=EIG_COND_LIMIT):
     _check_finite("S", S)
     vals, Q = np.linalg.eig(S)
     cond = np.linalg.cond(Q)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > EIG_COND_LIMIT:
         raise ConditioningError(
-            f"eigenvector basis condition {cond:.3e} exceeds {cond_limit:.1e}"
+            f"eigenvector basis condition {cond:.3e} exceeds {EIG_COND_LIMIT:.1e}"
         )
     Qinv = np.linalg.inv(Q)
-    return EigenPair(vals, Q, Qinv, False)
+    return EigenPair(vals, Q, Qinv)
 
 
-def eig_pair(A, cond_limit=EIG_COND_LIMIT):
+def eig_pair(A):
     """sym_eig when A is symmetric within tolerance, else tridiagonal_eig
     when it applies, else general_eig."""
     A = np.asarray(A, dtype=float)
     if is_symmetric(A):
         return sym_eig(A)
-    pair = tridiagonal_eig(A, cond_limit)
-    return pair if pair is not None else general_eig(A, cond_limit=cond_limit)
+    pair = tridiagonal_eig(A)
+    return pair if pair is not None else general_eig(A)
 
 
-def tridiagonal_eig(A, cond_limit=EIG_COND_LIMIT):
+def tridiagonal_eig(A):
     """Eigendecomposition of a tridiagonal A similar to a symmetric one, or None.
 
     An exactly tridiagonal A with A[i+1, i] A[i, i+1] > 0 for every i is
@@ -277,7 +277,7 @@ def tridiagonal_eig(A, cond_limit=EIG_COND_LIMIT):
     sqrt(A[i+1, i] / A[i, i+1]).  D is summed in logs, so that it cannot
     overflow.  LAPACK's symmetric tridiagonal solver gives S = Q_S L Q_S^T,
     so Q = D Q_S and Q^-1 = Q_S^T D^-1 need no inverse, and cond(Q) =
-    cond(D).  Any other pattern, or cond(D) above cond_limit, gives None.
+    cond(D).  Any other pattern, or cond(D) above EIG_COND_LIMIT, gives None.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2:
@@ -290,12 +290,12 @@ def tridiagonal_eig(A, cond_limit=EIG_COND_LIMIT):
         return None     # an entry off the three diagonals
     log_d = np.concatenate([[0.0], np.cumsum(0.5 * (np.log(np.abs(sub)) - np.log(np.abs(sup))))])
     lo, hi = log_d.min(), log_d.max()
-    if hi - lo > np.log(cond_limit):
+    if hi - lo > np.log(EIG_COND_LIMIT):
         return None
     d = np.exp(log_d - 0.5 * (lo + hi))
     off = np.sign(sup) * np.sqrt(np.abs(sup)) * np.sqrt(np.abs(sub))
     vals, QS = scipy.linalg.eigh_tridiagonal(np.diagonal(A), off)
-    return EigenPair(vals, d[:, None] * QS, QS.T / d[None, :], False)
+    return EigenPair(vals, d[:, None] * QS, QS.T / d[None, :])
 
 
 def phi1(z):
@@ -427,7 +427,6 @@ def _eig_folded(A):
         np.concatenate([e1.values, e2.values]),
         FoldedMatrix(s * e1.vectors, s * e2.vectors[::-1], unfold=True),
         FoldedMatrix(s * e1.inverse, s * e2.inverse[:, ::-1], unfold=False),
-        e1.symmetric and e2.symmetric,
     )
 
 
@@ -469,7 +468,7 @@ class Propagator:
             if np.array_equal(B, A):
                 eigB = eigA
             elif np.array_equal(B, A.T):
-                eigB = EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T, eigA.symmetric)
+                eigB = EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T)
             else:
                 eigB = _eig_folded(B)
             self.Qa, self.Qa_inv, self.la = eigA.vectors, eigA.inverse, eigA.values

@@ -13,8 +13,9 @@ Basis container ("MOR2BAS"):
     optional interpolation trailer:
         p1 u32 | p2 u32 | row_idx u32 x p1 | col_idx u32 x p2 |
         (Pl^T Vl) f64 column-major | (Wr^T Pr) f64 column-major
-        with p1 = cols(Vl), p2 = cols(Wr), and distinct row (column)
-        indices below rows(Vl) (rows(Wr))
+        with p1 = cols(Vl), p2 = cols(Wr), distinct row (column)
+        indices below rows(Vl) (rows(Wr)), and the two matrices equal,
+        bit for bit, to the rows of Vl and Wr at those indices
 
 Everything is little-endian.
 """
@@ -24,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .deim import DeimOperator, _lu_or_raise
+from .deim import deim_operator
 from .errors import FormatError
 from .fullsolve import Trajectory
 from .pod import BasisPair
@@ -126,8 +127,9 @@ def read_basis(path):
 
     The symmetric mark is not serialized; it is re-derived from the trailer
     (identical row and column index sets) when one exists.  A trailer whose
-    point counts differ from the basis widths, or whose indices are out of
-    range or repeated, is a FormatError.
+    point counts differ from the basis widths, whose indices are out of
+    range or repeated, or whose stored Pl^T Vl or Wr^T Pr differs from the
+    rows of the stored basis, is a FormatError.
     """
     with open(path, "rb") as fh:
         header = _read(fh, struct.calcsize("<7sH"), "basis header")
@@ -162,12 +164,11 @@ def read_basis(path):
             right = _read_matrix(fh, p2, p2, "column selection matrix")
             if fh.read(1):
                 raise FormatError("trailing bytes after the interpolation trailer")
-            op = DeimOperator(
-                row_idx, col_idx, left, right,
-                _lu_or_raise(left, "row"), _lu_or_raise(right, "column"),
-                float(1.0 / np.linalg.svd(left, compute_uv=False)[-1]),
-                float(1.0 / np.linalg.svd(right, compute_uv=False)[-1]),
-            )
+            if not (np.array_equal(left, Vl[row_idx, :])
+                    and np.array_equal(right, Wr[col_idx, :].T)):
+                raise FormatError("interpolation selection matrices differ from "
+                                  "the basis rows at their indices")
+            op = deim_operator(Vl, Wr, row_idx, col_idx)
     symmetric = bool(
         op is not None
         and len(op.row_idx) == len(op.col_idx)

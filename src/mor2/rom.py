@@ -73,7 +73,7 @@ def etd_step(model, Yhat, t, h):
     return model.propagator.advance(Yhat, fhat, h)
 
 
-def run_online(model, grid, blowup_norm=BLOWUP_NORM):
+def run_online(model, grid):
     """March the reduced model over the grid, storing every node.
 
     Steps run in the propagator's coordinates; the stored states are mapped
@@ -83,7 +83,7 @@ def run_online(model, grid, blowup_norm=BLOWUP_NORM):
     nodes = grid.nodes
     tic = time.perf_counter()
     gain = np.linalg.norm(prop.Qa, 2) * np.linalg.norm(prop.Qb_inv, 2)
-    limit = (blowup_norm / gain) ** 2
+    limit = (BLOWUP_NORM / gain) ** 2
     Yhat = prop.to_coords(model.Y0)
     coords = np.empty((len(nodes),) + Yhat.shape, dtype=Yhat.dtype)
     coords[0] = Yhat
@@ -93,7 +93,7 @@ def run_online(model, grid, blowup_norm=BLOWUP_NORM):
         # "not <=" also sends NaN and an overflowed square to the exact test.
         if not np.vdot(Yhat, Yhat).real <= limit:
             nrm = np.linalg.norm(prop.to_physical(Yhat))
-            if not nrm <= blowup_norm:
+            if not nrm <= BLOWUP_NORM:
                 raise DivergenceError(
                     f"reduced state blew up at step {i} (||Y||_F = {nrm:.3e})", step=i
                 )

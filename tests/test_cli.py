@@ -82,9 +82,10 @@ def test_load_config_file_with_overrides(tmp_path):
     ["taus=1e-2,abc"],
     ["taus=1e-2,1.0"],
     ["bench_k=6"],          # not a configuration key: old config files are refused
-    ["online_repeats=0"],
+    ["online_repeats=0"],   # removed: solve always times 3 runs
     ["methods="],
     ["seed=5"],             # removed: it reached no computation
+    ["out=run"],            # the output directory is --out only
 ])
 def test_load_config_rejects(sets):
     with pytest.raises(ConfigError):
@@ -157,9 +158,15 @@ def test_reduce_report_is_deterministic(artifacts):
     assert (artifacts / "singular_decay.csv").read_bytes() == decay
 
 
+def test_reduce_reports_do_not_depend_on_the_output_directory(artifacts, tmp_path):
+    other = tmp_path / "elsewhere"
+    assert cli.main(argv("reduce", AC1_SETS, other)) == 0
+    for name in ("offline_report.csv", "singular_decay.csv"):
+        assert (other / name).read_bytes() == (artifacts / name).read_bytes()
+
+
 def test_solve_runs_from_artifacts(artifacts):
-    rc = cli.main(argv("solve", AC1_SETS + ["n_t=40", "online_repeats=2"],
-                       artifacts))
+    rc = cli.main(argv("solve", AC1_SETS + ["n_t=40"], artifacts))
     assert rc == 0
     _, header, rows = read_report(artifacts / "solve_report.csv")
     assert header[-1] == "mean_error" and len(rows) == 1
@@ -237,6 +244,23 @@ def test_solve_rejects_out_of_range_interpolation_index(artifacts, tmp_path, cap
     assert "artifact error" in capsys.readouterr().err
 
 
+def test_solve_rejects_altered_interpolation_matrix(artifacts, tmp_path, capsys):
+    work = tmp_path / "badfactor"
+    shutil.copytree(artifacts, work)
+    path = work / "f_basis.mor2bas"
+    fbasis, op = persist.read_basis(path)
+    (n, k1), (m, k2) = fbasis.Vl.shape, fbasis.Wr.shape
+    first_row = 9 + 8 + 8 * n * k1 + 8 + 8 * m * k2 + 8 * (k1 + k2) + 16 + 8
+    left = first_row + 4 * (op.p1 + op.p2)     # Pl^T Vl, column-major
+    raw = bytearray(path.read_bytes())
+    entry = np.frombuffer(raw[left:left + 8], dtype="<f8")[0]
+    assert entry == op.left_factor[0, 0]
+    raw[left:left + 8] = np.array([1.5 * entry], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    assert "artifact error" in capsys.readouterr().err
+
+
 def test_solve_rejects_oversized_basis_header(artifacts, tmp_path, capsys):
     work = tmp_path / "oversized"
     shutil.copytree(artifacts, work)
@@ -283,8 +307,7 @@ def test_funcapprox_vector_respects_memory_guard(tmp_path, capsys):
             "methods=vector", "test_times=10"]
     assert cli.main(argv("funcapprox", sets, tmp_path)) == 2
     assert "configuration error" in capsys.readouterr().err
-    rc = cli.main(argv("funcapprox", sets, tmp_path)
-                  + ["--override-memory-guard"])
+    rc = cli.main(argv("funcapprox", sets + ["override_memory_guard=true"], tmp_path))
     assert rc == 0
 
 
@@ -299,6 +322,9 @@ def test_full_persists_both_streams(tmp_path):
     assert len(state.states) == 8 and len(nonl.states) == 8
     assert state.times[0] == 0.0
     assert state.states[0].shape == (16, 16)
+    info = json.loads((tmp_path / "run_info.json").read_text())
+    assert info["command"] == "full"
+    assert info["timings"]["snapshot_seconds"] >= 0.0
 
 
 def test_sweep_tau_reports_counts(tmp_path):

@@ -224,6 +224,7 @@ def _trailer_offset(basis):
     ("row", 8),         # one past the last row of Vl
     ("col", None),      # a repeated column index
     ("p1", 5),          # more points than basis columns
+    ("left", 1.5),      # one entry of the stored Pl^T Vl scaled
 ])
 def test_basis_read_rejects_bad_interpolation_trailer(tmp_path, field, value):
     rng = np.random.default_rng(164)
@@ -238,6 +239,10 @@ def test_basis_read_rejects_bad_interpolation_trailer(tmp_path, field, value):
     elif field == "col":
         first_col = at + 4 * op.p1
         raw[first_col + 4:first_col + 8] = raw[first_col:first_col + 4]
+    elif field == "left":
+        left = at + 4 * (op.p1 + op.p2)
+        entry = value * np.frombuffer(raw[left:left + 8], dtype="<f8")
+        raw[left:left + 8] = entry.astype("<f8").tobytes()
     else:
         raw[at - 8:at - 4] = value.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
