@@ -54,8 +54,6 @@ class RunConfig:
     tau: float = 1e-3
     tol: float = None          # inclusion tolerance; defaults to tau
     n_t: int = 300
-    snapshot_scheme: str = "imex"
-    reference_scheme: str = "etd"
     reference: bool = True
     methods: tuple = ("dynamic",)
     override_memory_guard: bool = False
@@ -90,10 +88,6 @@ class RunConfig:
             raise ConfigError(f"unknown methods {bad}; choose from {METHODS}")
         if self.norm not in ("fro", "2"):
             raise ConfigError("norm must be 'fro' or '2'")
-        if self.snapshot_scheme not in ("imex", "etd"):
-            raise ConfigError("snapshot_scheme must be 'imex' or 'etd'")
-        if self.reference_scheme not in ("imex", "etd"):
-            raise ConfigError("reference_scheme must be 'imex' or 'etd'")
         if self.test_times < 1:
             raise ConfigError("test_times must be positive")
         if not self.taus or not all(0.0 < t < 1.0 for t in self.taus):
@@ -197,16 +191,16 @@ def _build_spec(cfg):
 
 
 def _config_fingerprint(cfg):
-    keys = ("problem", "n", "n_max", "kappa", "tau", "tol", "snapshot_scheme",
-            "norm", "detect_symmetry", "eps1", "eps2")
+    keys = ("problem", "n", "n_max", "kappa", "tau", "tol", "norm",
+            "detect_symmetry", "eps1", "eps2")
     blob = json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _snapshots(cfg, spec):
-    """State and nonlinearity sources on the candidate times, and their seconds."""
+    """IMEX state and nonlinearity sources on the candidate times, and their seconds."""
     times = pod.candidate_times(spec.t_final, cfg.n_max)
-    return fullsolve.trajectory_source(spec, times, cfg.snapshot_scheme)
+    return fullsolve.trajectory_source(spec, times, "imex")
 
 
 def _widths(basis):
@@ -320,7 +314,6 @@ def cmd_reduce(cfg, out):
         "fingerprint": _config_fingerprint(cfg),
         "problem": cfg.problem, "n": cfg.n, "n_max": cfg.n_max,
         "kappa": cfg.kappa, "tau": cfg.tau, "tol": cfg.tol,
-        "artifacts": ["u_basis.mor2bas", "f_basis.mor2bas"],
         "selection": selection,
         "timings": timings,
     })
@@ -342,7 +335,7 @@ def _load_artifacts(cfg, out):
         raise IntegrityError(
             "artifact manifest does not match the current configuration"
         )
-    for name in manifest["artifacts"]:
+    for name in ("u_basis.mor2bas", "f_basis.mor2bas"):
         if not (out / name).is_file():
             raise IntegrityError(f"missing artifact: {out / name}")
     ubasis, _ = persist.read_basis(out / "u_basis.mor2bas")
@@ -367,7 +360,7 @@ def cmd_solve(cfg, out):
     per_node = []
     if cfg.reference:
         reference = ((t, U) for _, t, U in
-                     fullsolve.iter_full(spec, grid, cfg.reference_scheme))
+                     fullsolve.iter_full(spec, grid, "etd"))
         mean_err, per_node = rom.relative_errors(reference, traj,
                                                  lambda Y: rom.lift(ubasis, Y))
 

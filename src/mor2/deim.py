@@ -1,8 +1,8 @@
 """Two-sided discrete empirical interpolation of entrywise nonlinearities.
 
-Given orthonormal bases (Vl, Wr) for the nonlinearity snapshots, greedy
-column-pivoted QR on the transposed bases picks p1 rows and p2 columns;
-the oblique interpolant
+Given orthonormal bases (Vl, Wr) for the nonlinearity snapshots, LAPACK's
+column-pivoted QR on the transposed bases (Q-DEIM) picks p1 rows and p2
+columns; the oblique interpolant
 
     F_tilde = Vl (Pl^T Vl)^{-1} (Pl^T F Pr) (Wr^T Pr)^{-1} Wr^T
 

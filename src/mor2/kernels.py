@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives used by every other module.
 
-Thin, contract-checked wrappers around LAPACK-backed numpy/scipy routines,
-plus the few pieces that need behavior the libraries do not pin down:
-deterministic column-pivoted QR (explicit lowest-index tie break) and the
+Contract-checked wrappers around LAPACK-backed numpy/scipy routines:
+truncated SVDs, eigendecompositions and column-pivoted QR, whose ties LAPACK
+breaks by lowest index (IDAMAX takes the first maximum).  Plus the
 Propagator, the first-order stepper shared by the full and reduced models.
 """
 
@@ -191,40 +191,21 @@ def _range_svd(M, r, block, rng, start=None):
 def pivoted_qr_indices(Bt):
     """Column-pivot sequence of a short fat matrix Bt (p, n), p <= n.
 
-    Greedy residual-norm pivoting (Businger-Golub): at each step the column
-    of largest remaining norm is chosen, ties broken by lowest index, and
-    the chosen direction is deflated by a Householder reflection.  Returns
-    the p chosen column indices in pivot order.
+    LAPACK's QR with column pivoting (geqp3, Businger-Golub): each step takes
+    the column of largest residual norm, the first of equal ones (BLAS
+    IDAMAX), and deflates it by a Householder reflection.  Returns the p
+    chosen column indices in pivot order.
     """
     Bt = np.asarray(Bt, dtype=float)
     if Bt.ndim != 2 or Bt.shape[0] > Bt.shape[1]:
         raise DimensionError("expected a p x n matrix with p <= n")
     _check_finite("Bt", Bt)
-    p, n = Bt.shape
-    scale = np.linalg.norm(Bt)
-
-    R = Bt.copy()
-    cols = np.arange(n)
-    for k in range(p):
-        norms = np.linalg.norm(R[k:, k:], axis=0)
-        j = k + int(np.argmax(norms))  # argmax returns the first maximum
-        if norms[j - k] < RANK_TOL * max(scale, 1e-300):
-            raise RankError(
-                f"pivot {k} fell below {RANK_TOL:.1e} * ||Bt||_F: input is rank deficient"
-            )
-        if j != k:
-            R[:, [k, j]] = R[:, [j, k]]
-            cols[[k, j]] = cols[[j, k]]
-        # Householder reflection zeroing R[k+1:, k].
-        x = R[k:, k].copy()
-        alpha = -np.sign(x[0]) * np.linalg.norm(x) if x[0] != 0 else -np.linalg.norm(x)
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm > 0:
-            v /= vnorm
-            R[k:, k:] -= 2.0 * np.outer(v, v @ R[k:, k:])
-    return cols[:p].copy()
+    R, piv = scipy.linalg.qr(Bt, mode="r", pivoting=True)
+    small = np.abs(np.diag(R)) < RANK_TOL * max(np.linalg.norm(Bt), 1e-300)
+    if small.any():
+        raise RankError(f"pivot {int(np.argmax(small))} fell below {RANK_TOL:.1e} * "
+                        "||Bt||_F: input is rank deficient")
+    return piv[:Bt.shape[0]]
 
 
 def sym_eig(S):

@@ -335,7 +335,7 @@ def _phased_selection(times, m, tol, score, include):
     )
 
 
-def dynamic_pod(source, tol, kappa, tau, n_max=None, norm="fro", detect_symmetry=False):
+def dynamic_pod(source, tol, kappa, tau, norm="fro", detect_symmetry=False):
     """Phased adaptive selection plus pruning; the main offline routine.
 
     Walks the candidate nodes of `source` in three phases.  The first
@@ -353,7 +353,7 @@ def dynamic_pod(source, tol, kappa, tau, n_max=None, norm="fro", detect_symmetry
     SelectionReport).
     """
     times = np.asarray(source.times, dtype=float)
-    m = effective_n_max(len(times) if n_max is None else min(n_max, len(times)))
+    m = effective_n_max(len(times))
     tic = time.perf_counter()
     acc = TripletAccumulator.empty(kappa)
     deliv = None  # the tau-pruned bases of the included snapshots
@@ -411,14 +411,14 @@ def vanilla_update(Vl, Wr, Xi, kappa):
     return Vl2, Wr2, sl, sr
 
 
-def vanilla_pod(source, kappa, tau, n_max=None):
+def vanilla_pod(source, kappa, tau):
     """Process every candidate snapshot with vanilla_update, then truncate.
 
     The tail criterion of `prune` is applied to the singular values of the
     last reduction.  Returns (BasisPair, SelectionReport).
     """
     times = np.asarray(source.times, dtype=float)
-    m = len(times) if n_max is None else min(n_max, len(times))
+    m = len(times)
     tic = time.perf_counter()
     Vl = Wr = None
     sl = sr = np.ones(0)

@@ -229,6 +229,18 @@ def test_solve_rejects_missing_artifact(artifacts, tmp_path, capsys):
     assert "artifact error" in capsys.readouterr().err
 
 
+def test_solve_checks_the_basis_files_it_reads(artifacts, tmp_path, capsys):
+    work = tmp_path / "nostate"
+    shutil.copytree(artifacts, work)
+    manifest = json.loads((work / "manifest.json").read_text())
+    assert "artifacts" not in manifest
+    manifest["artifacts"] = []      # as an older manifest could carry it
+    (work / "manifest.json").write_text(json.dumps(manifest))
+    (work / "u_basis.mor2bas").unlink()
+    assert cli.main(argv("solve", AC1_SETS, work)) == 4
+    assert "artifact error" in capsys.readouterr().err
+
+
 def test_solve_rejects_out_of_range_interpolation_index(artifacts, tmp_path, capsys):
     work = tmp_path / "badindex"
     shutil.copytree(artifacts, work)

@@ -46,6 +46,14 @@ def test_build_deim_canonical_basis():
     assert op.p1 == 3 and op.p2 == 3
 
 
+@pytest.mark.parametrize("pipeline", ["ac1_64", "rdc_64"])
+def test_build_deim_points_on_benchmark_bases_match_the_greedy_oracle(pipeline, request):
+    pipe = request.getfixturevalue(pipeline)
+    fbasis, op = pipe["fbasis"], pipe["op"]
+    assert np.array_equal(op.row_idx, oracles.greedy_pivot_oracle(fbasis.Vl.T))
+    assert np.array_equal(op.col_idx, oracles.greedy_pivot_oracle(fbasis.Wr.T))
+
+
 def test_build_deim_symmetric_reuses_rows():
     rng = np.random.default_rng(111)
     S = rng.standard_normal((8, 8))

@@ -176,6 +176,12 @@ def test_pivoted_qr_tie_takes_lowest_index():
     assert list(kernels.pivoted_qr_indices(np.ones((1, 5)))) == [0]
 
 
+def test_pivoted_qr_tie_at_a_later_pivot_takes_lowest_index():
+    # columns 1 and 2 tie only after column 0 has been deflated
+    Bt = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    assert list(kernels.pivoted_qr_indices(Bt)) == [0, 1]
+
+
 def test_pivoted_qr_matches_greedy_oracle():
     rng = np.random.default_rng(21)
     for _ in range(30):

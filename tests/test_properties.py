@@ -1,6 +1,6 @@
-"""Property tests (hypothesis) for the folded maps, the range finder and the
-binary containers.  Examples are bounded and derandomized, so a run is
-repeatable and stays a few seconds long."""
+"""Property tests (hypothesis) for the folded maps, the range finder, the
+column pivots and the binary containers.  Examples are bounded and
+derandomized, so a run is repeatable and stays a few seconds long."""
 
 import numpy as np
 import pytest
@@ -95,6 +95,22 @@ def test_compress_cold_and_warm_stay_within_the_tail(M, drop, seed):
         warm = kernels.compress(M, start.V[:, drop:])
         assert warm is not None
         _within_tail(M, warm)
+
+
+# ------------------------------------------------------------- column pivots
+
+@st.composite
+def gaussian_wide(draw):
+    """A p x n Gaussian matrix, p <= 8 and n >= p + 2."""
+    p = draw(st.integers(1, 8))
+    n = draw(st.integers(p + 2, 40))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((p, n))
+
+
+@bounded(100)
+@given(Bt=gaussian_wide())
+def test_pivoted_qr_matches_the_greedy_oracle(Bt):
+    assert np.array_equal(kernels.pivoted_qr_indices(Bt), oracles.greedy_pivot_oracle(Bt))
 
 
 # ---------------------------------------------------------------- persistence
