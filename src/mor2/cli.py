@@ -75,6 +75,11 @@ class RunConfig:
             raise ConfigError("n must be at least 8")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError("tau must lie strictly between 0 and 1")
+        if not 0.0 < self.tol < 1.0:
+            raise ConfigError("tol must lie strictly between 0 and 1")
+        for name, value in (("eps1", self.eps1), ("eps2", self.eps2)):
+            if value is not None and not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and positive")
         if self.n_max < 4:
             raise ConfigError("n_max must be at least 4")
         if self.n_t < 1:

@@ -31,23 +31,22 @@ from .errors import DimensionError, DivergenceError
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid with n_t steps on [t0, t_final]."""
+    """Uniform grid with n_t steps of size h on [0, t_final]; runs start at t = 0."""
 
     t_final: float
     n_t: int
-    t0: float = 0.0
 
     def __post_init__(self):
-        if self.n_t < 0 or self.t_final <= self.t0:
-            raise DimensionError("need t_final > t0 and n_t >= 0")
+        if self.n_t < 0 or self.t_final <= 0:
+            raise DimensionError("need t_final > 0 and n_t >= 0")
 
     @property
     def h(self):
-        return (self.t_final - self.t0) / max(self.n_t, 1)
+        return self.t_final / max(self.n_t, 1)
 
     @property
     def nodes(self):
-        return self.t0 + self.h * np.arange(self.n_t + 1)
+        return self.h * np.arange(self.n_t + 1)
 
 
 @dataclass
@@ -95,22 +94,21 @@ class AnalyticSource:
     snapshot = matrix
 
 
-def _march(prop, spec, times, h=None, f_at_last=False):
+def _march(prop, spec, times, h, f_at_last=False):
     """Step through the time nodes, yielding (index, time, state, F at the state).
 
-    The Propagator prop serves the whole run; steps use h when given, else
-    the node spacing.  F is evaluated once per node, for the step that
-    leaves it, and at the last node only when f_at_last asks for it (None
-    there otherwise).  The state is one matrix overwritten by every step,
-    so a step allocates only F, in the memory the previous F leaves.
+    The Propagator prop serves the whole run, and every step has size h.
+    F is evaluated once per node, for the step that leaves it, and at the
+    last node only when f_at_last asks for it (None there otherwise).  The
+    state is one matrix overwritten by every step, so a step allocates
+    only F, in the memory the previous F leaves.
     """
     U = np.array(spec.U0, dtype=float)
     Uhat = prop.to_coords(U)
     last = len(times) - 1
     for i, t in enumerate(times):
         if i > 0:
-            step = h if h is not None else t - times[i - 1]
-            Uhat, U = kernels.etd_euler_update(prop, Uhat, F, step, out=U)
+            Uhat, U = kernels.etd_euler_update(prop, Uhat, F, h, out=U)
             F = None  # released before the next F is allocated
             if not np.all(np.isfinite(U)):
                 raise DivergenceError(
@@ -120,7 +118,7 @@ def _march(prop, spec, times, h=None, f_at_last=False):
         yield i, t, U, F
 
 
-def _factored_run(prop, spec, times):
+def _factored_run(prop, spec, times, h):
     """The snapshot run with every state and F kept as low-rank factors.
 
     Returns the state and F snapshots, node 0's state being U0 itself and
@@ -161,7 +159,7 @@ def _factored_run(prop, spec, times):
         Uhat, Fhat = prop.work((len(Lc), len(Rc)), float)
         np.matmul(Lc, Rc.T, out=Uhat)
         np.matmul(prop.Qa_inv @ (ftrip.U * ftrip.S), (prop.Qb.T @ ftrip.V).T, out=Fhat)
-        trip = kernels.compress(prop.advance(Uhat, Fhat, times[i + 1] - t), start_u)
+        trip = kernels.compress(prop.advance(Uhat, Fhat, h), start_u)
         if trip is None:
             return None
         start_f, start_u = ftrip.V, trip.V
@@ -185,22 +183,24 @@ def iter_full(spec, grid, scheme="imex"):
 def trajectory_source(spec, times, scheme="imex"):
     """Integrate over the given time nodes and expose snapshot sources.
 
-    The candidate nodes double as the integration grid, so each node costs
-    one step.  Above kernels.DENSE_SVD_MAX, in real coordinates, the run
+    The nodes are the integration grid and must be equispaced: every step
+    has size h = (times[-1] - times[0]) / (len(times) - 1), within 1e-9 h of
+    each spacing.  Above kernels.DENSE_SVD_MAX, in real coordinates, the run
     keeps its snapshots as low-rank factors (_factored_run); otherwise, or
     when a compression is not certified, it runs dense from node 0 and
-    keeps every snapshot as a matrix.  Returns (state trajectory,
-    nonlinearity trajectory, seconds).
+    keeps every snapshot as a matrix.  Returns (states, nonlinearities, seconds).
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
-        raise DimensionError("times must be strictly increasing")
+    m = len(times) if times.ndim == 1 else 0
+    h = (times[-1] - times[0]) / max(m - 1, 1) if m else 0.0
+    if m < 1 or not np.all(np.abs(np.diff(times) - h) < 1e-9 * h):
+        raise DimensionError("times must be strictly increasing and equispaced")
     tic = time.perf_counter()
     prop = kernels.Propagator(spec.A, spec.B, scheme)
-    run = _factored_run(prop, spec, times)
+    run = _factored_run(prop, spec, times, h)
     if run is None:
         run = [], []
-        for _, _, U, F in _march(prop, spec, times, f_at_last=True):
+        for _, _, U, F in _march(prop, spec, times, h, f_at_last=True):
             run[0].append(U.copy())
             run[1].append(F)
     states, nonls = run

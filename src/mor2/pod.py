@@ -285,10 +285,10 @@ def effective_n_max(n_max):
     return n_max - (n_max % 4)
 
 
-def candidate_times(t_final, n_max, t0=0.0):
-    """Equispaced candidate nodes on [t0, t_final], count forced to 4k."""
+def candidate_times(t_final, n_max):
+    """Equispaced candidate nodes on [0, t_final], count forced to 4k."""
     m = effective_n_max(n_max)
-    return np.linspace(t0, t_final, m)
+    return np.linspace(0.0, t_final, m)
 
 
 def phase_index_sets(m):
@@ -474,9 +474,12 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
     Each included snapshot is stacked column-major into a tall snapshot
     matrix whose tau-truncated left singular basis doubles as the inclusion
     test space, mirroring the matrix route: a node joins when the truncated
-    basis misses it by more than tol.  Refuses matrices larger than
-    VECTOR_GUARD_DIM per side unless override_guard is set, since storage
-    grows with n^2 per snapshot.
+    basis misses it by more than tol.  Without adaptation every nonzero
+    snapshot is stacked and the stack takes one SVD; with it, each
+    inclusion takes one and the last serves the basis.
+    peak_storage_floats is the storage of the final stack and basis.
+    Refuses matrices larger than VECTOR_GUARD_DIM per side unless
+    override_guard is set, since storage grows with n^2 per snapshot.
     """
     shape = source.matrix(0).shape
     if max(shape) > VECTOR_GUARD_DIM and not override_guard:
@@ -492,22 +495,24 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
     tic = time.perf_counter()
 
     cols = []
-    Vk = None  # tau-truncated basis of the included snapshots
-    peak = 0
+    svd = Vk = None  # SVD of the included snapshots' stack and its tau-truncated basis
 
     def snapshot(i):
         return source.matrix(i).ravel(order="F")
 
+    def stack_svd():
+        U, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+        return U, s
+
     def include(i):
-        nonlocal Vk, peak
+        nonlocal svd, Vk
         xi = snapshot(i)
         if not np.linalg.norm(xi) > 0:
             return False
         cols.append(xi)
-        S = np.column_stack(cols)
-        U, s, _ = np.linalg.svd(S, full_matrices=False)
-        Vk = U[:, : retained_count(s, tau, m)]
-        peak = max(peak, S.size + Vk.size)
+        if adaptive:    # the next score tests against the grown stack
+            U, s = svd = stack_svd()
+            Vk = U[:, : retained_count(s, tau, m)]
         return True
 
     def score(i):
@@ -531,12 +536,12 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
 
     if not cols:
         raise DimensionError("vector selection never saw a nonzero snapshot")
-    S = np.column_stack(cols)
-    U, s, _ = np.linalg.svd(S, full_matrices=False)
+    U, s = svd if adaptive else stack_svd()
     k = retained_count(s, tau, m)
     basis = VectorBasis(
         V=_sign_normalize(U[:, :k].copy()), singvals=s[:k].copy(),
         shape=shape, tau=tau, n_max=m,
     )
+    peak = len(cols) * len(U) + basis.V.size   # the final stack and basis
     return basis, replace(report, method="vector", peak_storage_floats=peak,
                           seconds=time.perf_counter() - tic)

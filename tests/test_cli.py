@@ -86,6 +86,9 @@ def test_load_config_file_with_overrides(tmp_path):
     ["methods="],
     ["seed=5"],             # removed: it reached no computation
     ["out=run"],            # the output directory is --out only
+    ["eps2=0"],             # degenerate problem settings: exit 2, not a traceback
+    ["eps1=nan"],
+    ["tol=-1"],
 ])
 def test_load_config_rejects(sets):
     with pytest.raises(ConfigError):

@@ -16,8 +16,8 @@ def test_time_grid_nodes():
     grid = fullsolve.TimeGrid(1.0, 4)
     assert grid.h == 0.25
     assert np.allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    point = fullsolve.TimeGrid(2.0, 0, t0=1.0)
-    assert np.allclose(point.nodes, [1.0])
+    point = fullsolve.TimeGrid(2.0, 0)
+    assert np.allclose(point.nodes, [0.0])
 
 
 def test_time_grid_rejects_bad_bounds():
@@ -161,6 +161,10 @@ def test_trajectory_source_requires_increasing_times():
         fullsolve.trajectory_source(spec, np.array([0.0, 0.5, 0.4]))
     with pytest.raises(DimensionError):
         fullsolve.trajectory_source(spec, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(DimensionError):
+        fullsolve.trajectory_source(spec, np.array([0.0, 0.1, 0.3]))
+    with pytest.raises(DimensionError):
+        fullsolve.trajectory_source(spec, np.array([0.0, 0.0]))
 
 
 def test_divergence_raises_with_step_index():
@@ -417,6 +421,23 @@ def test_factored_run_in_schur_coordinates():
     for i in range(len(times)):
         want = dstate.matrix(i)
         assert np.linalg.norm(state.matrix(i) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name, n", [("ac1", 64), ("ac2", 64), ("rdc", 64), ("rdc", FACTORED_N)])
+def test_snapshot_run_builds_its_step_factors_once(monkeypatch, name, n):
+    # linspace spacings differ in their last bits; the run still steps with one h
+    step_factors, calls = kernels.Propagator._step_factors, []
+
+    def counting(self, h):
+        calls.append(h)
+        return step_factors(self, h)
+
+    monkeypatch.setattr(kernels.Propagator, "_step_factors", counting)
+    spec = problems.build_problem(name, n)
+    times = pod.candidate_times(spec.t_final, 40)
+    state, _, _ = fullsolve.trajectory_source(spec, times, "imex")
+    assert calls == [(times[-1] - times[0]) / 39]
+    assert _is_factored(state) == (n > kernels.DENSE_SVD_MAX)
 
 
 def test_factored_run_holds_no_dense_snapshots():

@@ -314,8 +314,6 @@ def test_candidate_times_layout():
     assert len(times) == 40
     assert times[0] == 0.0 and times[-1] == 5.0
     assert np.allclose(np.diff(times), times[1] - times[0])
-    shifted = pod.candidate_times(2.0, 8, t0=1.0)
-    assert shifted[0] == 1.0 and shifted[-1] == 2.0
 
 
 def test_phase_index_sets_cover_all_nodes():
@@ -502,3 +500,18 @@ def test_vector_pod_non_adaptive_takes_all():
     s = np.linalg.svd(stack, compute_uv=False)
     assert basis.k == oracles.tail_retained_count(s, 1e-8, 5)
     assert np.allclose(basis.V.T @ basis.V, np.eye(basis.k), atol=1e-12)
+
+
+def test_vector_pod_non_adaptive_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(103)
+    mats = [rng.standard_normal((4, 4)) for _ in range(5)]
+    svd, calls = np.linalg.svd, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    basis, report = pod.vector_pod(source_from(mats), 1e-3, 1e-8, adaptive=False)
+    assert calls == [(16, 5)]
+    assert report.peak_storage_floats == 16 * 5 + basis.V.size
