@@ -186,13 +186,13 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _problem_params(cfg):
+    """eps1 and eps2 where set; a problem refuses the ones it does not read."""
+    return {k: getattr(cfg, k) for k in ("eps1", "eps2") if getattr(cfg, k) is not None}
+
+
 def _build_spec(cfg):
-    params = {}
-    if cfg.eps1 is not None:
-        params["eps1"] = cfg.eps1
-    if cfg.eps2 is not None:
-        params["eps2"] = cfg.eps2
-    return problems.build_problem(cfg.problem, cfg.n, **params)
+    return problems.build_problem(cfg.problem, cfg.n, **_problem_params(cfg))
 
 
 def _config_fingerprint(cfg):
@@ -219,7 +219,7 @@ def _widths(basis):
 # funcapprox
 
 def cmd_funcapprox(cfg, out):
-    fn = problems.analytic_function(cfg.problem, cfg.n)
+    fn = problems.analytic_function(cfg.problem, cfg.n, **_problem_params(cfg))
     times = pod.candidate_times(fn.t_final, cfg.n_max)
     source = fullsolve.AnalyticSource(fn, times)
     test_ts = np.linspace(0.0, fn.t_final, cfg.test_times)

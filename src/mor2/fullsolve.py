@@ -12,12 +12,12 @@ kept in eigen-coordinates of A and B, so a dense step costs four n x n
 multiplications (F mapped in, the state mapped out) plus a Hadamard update.
 The snapshot run above kernels.DENSE_SVD_MAX keeps the state and F as
 certified low-rank factors instead, and its maps are n x r products.
-An operator of even size that is centrosymmetric (J A J = A, as the
-Dirichlet and periodic Laplacians are) is folded: its eigenproblem splits
-into two half-size ones, and its two multiplications become four half-size
-ones plus mirrored adds and subtracts, half the flops.  B = A and B = A^T
-reuse A's eigendecomposition.  When an eigenvector basis is too ill
-conditioned the coordinates are real Schur bases instead.
+A pair of even-size centrosymmetric operators (J A J = A, as the Dirichlet
+and periodic Laplacians are) with real eigenbases in their halves is folded:
+each eigenproblem splits into two half-size ones, and each multiplication
+into two half-size ones plus mirrored adds and subtracts, half the flops.
+B = A and B = A^T reuse A's eigendecomposition.  When an eigenvector basis
+is too ill conditioned the coordinates are real Schur bases instead.
 """
 
 import time

@@ -79,8 +79,8 @@ class EigenPair:
     For symmetric input Q is orthogonal, values are real ascending and
     ``inverse`` is simply Q^T.  A tridiagonal matrix similar to a symmetric
     one has real values and a real, non-orthogonal Q.  For other general
-    input everything is complex.  The Propagator's pairs of
-    centrosymmetric operators hold Q and Q^{-1} as FoldedMatrix objects.
+    input everything is complex.  The Propagator's folded pairs hold Q and
+    Q^{-1} as real FoldedMatrix objects.
     """
 
     values: np.ndarray
@@ -286,13 +286,16 @@ def phi1(z):
         # e^{z/2} * sinh(z/2) / (z/2); a short series covers the 0/0 region.
         w = 0.5 * z
         small = np.abs(w) < 1e-4
-        wsafe = np.where(small, 1.0, w)
+        far = w.real < -700.0   # e^{z/2} underflows, sinh(z/2) overflows: -1/z
+        wsafe = np.where(small | far, 1.0, w)
         core = np.where(
             small,
             1.0 + w * w / 6.0 + (w * w) * (w * w) / 120.0,
             np.sinh(wsafe) / wsafe,
         )
-        return np.exp(w) * core
+        out = np.exp(w) * core
+        out[far] = -1.0 / z[far]
+        return out
     out = np.ones_like(z, dtype=float)
     nz = z != 0.0
     out[nz] = np.expm1(z[nz]) / z[nz]
@@ -334,7 +337,7 @@ class FoldedMatrix:
         maps out, as X is then read before out is written.  The butterfly
         reads and writes halves of rows; they are contiguous, and no buffer
         is allocated, when X and spare (M maps in) or spare and out (M maps
-        out) are row-major.  A real out receives the real part.
+        out) are row-major.
         """
         m = self.H1.shape[0]
         if self.unfold:
@@ -368,19 +371,11 @@ class FoldedMatrix:
 
 def _butterfly(X, out):
     """out = [X1 + J X2; J X1 - X2] for X = [X1; X2] split at half height,
-    J the reversal of row order.  A real out receives the real part of a
-    complex X; a complex out of a real X is written through its real part,
-    its imaginary part zeroed.  No operand is cast and the mirrored halves
-    are copied first, since ufuncs would buffer a cast or reversed operand."""
+    J the reversal of row order.  The mirrored halves are copied first,
+    since ufuncs would buffer a reversed operand."""
     m = X.shape[-2] // 2
-    dst = out
-    if np.iscomplexobj(X) and not np.iscomplexobj(out):
-        X = X.real
-    elif np.iscomplexobj(out) and not np.iscomplexobj(X):
-        out.imag = 0.0
-        dst = out.real
     top, bot = X[..., :m, :], X[..., m:, :]
-    out_top, out_bot = dst[..., :m, :], dst[..., m:, :]
+    out_top, out_bot = out[..., :m, :], out[..., m:, :]
     np.copyto(out_top, bot[..., ::-1, :])
     np.copyto(out_bot, top[..., ::-1, :])
     out_top += top
@@ -389,20 +384,22 @@ def _butterfly(X, out):
 
 
 def _eig_folded(A):
-    """eig_pair of A, taken from two half-size blocks when A is centrosymmetric.
+    """eig_pair of A from two half-size blocks, or None when A does not fold.
 
     For n = 2m and J A J = A, the orthogonal K0 = [[I, I], [J, -J]] / sqrt(2)
     splits A into blkdiag(A11 + A12 J, A11 - A12 J) (Cantoni & Butler, Linear
     Algebra Appl. 13, 1976), so the eigenvectors are K0 blkdiag(Q1, Q2) =
-    K blkdiag(Q1, J Q2) / sqrt(2), kept as FoldedMatrix blocks.  Odd n and
-    other matrices take eig_pair whole.
+    K blkdiag(Q1, J Q2) / sqrt(2), kept as FoldedMatrix blocks.  A folds when
+    it is centrosymmetric of even size and both halves have real eigenbases.
     """
     n = A.shape[0]
     if n % 2 or not np.array_equal(A, A[::-1, ::-1]):
-        return eig_pair(A)
+        return None
     m = n // 2
     A11, A12J = A[:m, :m], A[:m, m:][:, ::-1]
     e1, e2 = eig_pair(A11 + A12J), eig_pair(A11 - A12J)
+    if np.iscomplexobj(e1.vectors) or np.iscomplexobj(e2.vectors):
+        return None
     s = np.sqrt(0.5)
     return EigenPair(
         np.concatenate([e1.values, e2.values]),
@@ -425,16 +422,17 @@ class Propagator:
 
     h phi1 of the eigenvalue sums is the quotient (e^{h (la_i + lb_j)} - 1) /
     (la_i + lb_j) that solves the step's Sylvester equation, finite also
-    where the sums vanish.  An operator of even size with J A J = A (J the
-    reversal of index order; the Dirichlet and periodic Laplacians) is
-    decomposed through its two half-size blocks, and its basis and inverse
-    are FoldedMatrix objects, which halve the cost of every map into or out
-    of the coordinates.  Each side folds on its own; other operators keep
-    dense bases.  B = A reuses A's eigenbasis; B = A^T takes (Qa^-1)^T and
-    Qa^T as transposed views.  When an eigenbasis (or a half's) is too ill
-    conditioned the coordinates are the real Schur bases of A and B instead,
-    and a step solves one quasi-triangular Sylvester equation.  The step
-    factors are kept for the latest h only.
+    where the sums vanish.  The pair folds when A and B both have even size,
+    J A J = A and J B J = B (J the reversal of index order; the Dirichlet and
+    periodic Laplacians) and real eigenbases in all four halves: each side is
+    then decomposed through its two half-size blocks, and its basis and
+    inverse are FoldedMatrix objects, which halve the cost of every map into
+    or out of the coordinates.  Every other pair keeps dense bases.  B = A
+    reuses A's eigenbasis; B = A^T takes (Qa^-1)^T and Qa^T as transposed
+    views.  When an eigenbasis (or a half's) is too ill conditioned the
+    coordinates are the real Schur bases of A and B instead, and a step
+    solves one quasi-triangular Sylvester equation.  The step factors are
+    kept for the latest h only.
     """
 
     def __init__(self, A, B, scheme="etd"):
@@ -446,12 +444,14 @@ class Propagator:
         self.fallback = False
         try:
             eigA = _eig_folded(A)
-            if np.array_equal(B, A):
-                eigB = eigA
-            elif np.array_equal(B, A.T):
-                eigB = EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T)
+            same = np.array_equal(B, A)
+            if same or np.array_equal(B, A.T):      # B's halves are A's, transposed or not
+                eigA = eig_pair(A) if eigA is None else eigA
+                eigB = eigA if same else EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T)
             else:
-                eigB = _eig_folded(B)
+                eigB = None if eigA is None else _eig_folded(B)
+                if eigB is None:        # both sides fold or neither does
+                    eigA, eigB = eig_pair(A), eig_pair(B)
             self.Qa, self.Qa_inv, self.la = eigA.vectors, eigA.inverse, eigA.values
             self.Qb, self.Qb_inv, self.lb = eigB.vectors, eigB.inverse, eigB.values
         except ConditioningError:
@@ -532,42 +532,27 @@ def etd_euler_update(prop, Uhat, F, h, out=None):
     Fhat = Qa^-1 F Qb, the Hadamard update of prop, and the new state
     U = Qa Uhat Qb^-1, written into out when given (a real matrix; it may be
     the state F was evaluated at).  With dense bases that is four n x n
-    products; each folded side replaces its two by four half-size ones.
-    Uhat is advanced in place and the intermediates go to prop's scratch
-    matrices P and R, laid out row- or column-major as the folds of the
-    side that reads them ask, so with out a step allocates nothing.
+    products; a folded pair replaces them by eight half-size ones.  Uhat is
+    advanced in place and the intermediates go to prop's scratch matrices P
+    and R, laid out row- or column-major as the folds of the side that reads
+    them ask, so with out and real bases a step allocates nothing.
     Returns (Uhat, U).
     """
     P, R = prop.work(Uhat.shape, Uhat.dtype)
-    # The same scratch memory viewed column-major, for the folds of B's side.
-    Pc, Rc = (M.reshape(M.shape[::-1]).T for M in (P, R))
-    fold_a = isinstance(prop.Qa, FoldedMatrix)
-    fold_b = isinstance(prop.Qb, FoldedMatrix)
-    left = Rc if fold_b else R
-    if fold_a:
-        prop.Qa_inv.lmul(F, left, P)
-    else:
-        np.matmul(prop.Qa_inv, F, out=left)
-    if fold_b:
-        Fhat = prop.Qb.rmul(left, R, Pc)
-    else:
-        Fhat = np.matmul(left, prop.Qb, out=P)
-    Uhat = prop.advance(Uhat, Fhat, h)
-
     if out is None:
         out = np.empty(Uhat.shape)
-    if fold_a:      # Qb^-1 first, so that the last butterfly writes rows of out
-        if fold_b:
-            prop.Qb_inv.rmul(Uhat, Rc, Pc)
-        else:
-            np.matmul(Uhat, prop.Qb_inv, out=Rc)
+    if isinstance(prop.Qa, FoldedMatrix):
+        # The same scratch memory viewed column-major, for the folds of B's side;
+        # Qb^-1 goes first, so that the last butterfly writes rows of out.
+        Pc, Rc = (M.reshape(M.shape[::-1]).T for M in (P, R))
+        prop.Qa_inv.lmul(F, Rc, P)
+        Uhat = prop.advance(Uhat, prop.Qb.rmul(Rc, R, Pc), h)
+        prop.Qb_inv.rmul(Uhat, Rc, Pc)
         prop.Qa.lmul(Rc, out, P)
         return Uhat, out
+    np.matmul(prop.Qa_inv, F, out=R)
+    Uhat = prop.advance(Uhat, np.matmul(R, prop.Qb, out=P), h)
     np.matmul(prop.Qa, Uhat, out=R)
-    if fold_b:      # the butterfly writes columns: into Rc, then copied
-        prop.Qb_inv.rmul(R, Rc, Pc)
-        np.copyto(out, Rc.real)
-        return Uhat, out
     if not np.iscomplexobj(R):
         return Uhat, np.matmul(R, prop.Qb_inv, out=out)
     np.matmul(R, prop.Qb_inv, out=P)

@@ -254,11 +254,13 @@ _ANALYTIC = {
 }
 
 
-def analytic_function(name, n):
-    """Look up one of the named test functions at grid size n."""
+def analytic_function(name, n, **params):
+    """Look up one of the named test functions at grid size n; they read no params."""
     key = name.lower()
     if key not in _ANALYTIC:
         raise ConfigError(f"unknown analytic function {name!r}")
+    if params:
+        raise ConfigError(f"unused problem parameters: {sorted(params)}")
     func, x1r, x2r, tf = _ANALYTIC[key]
     return AnalyticFunction(key, func, x1r, x2r, tf, n)
 

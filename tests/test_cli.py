@@ -317,6 +317,19 @@ def test_funcapprox_rejects_pde_problem(tmp_path):
     assert cli.main(argv("funcapprox", ["problem=ac1"], tmp_path)) == 2
 
 
+@pytest.mark.parametrize("extra", [["eps2=5"], ["eps1=0.1"]])
+def test_funcapprox_refuses_unused_problem_parameters(extra, tmp_path, capsys):
+    # the analytic functions read neither eps1 nor eps2; reduce refuses the
+    # eps2 that rdc does not read in the same words
+    rc = cli.main(argv("funcapprox", ["problem=phi1", "n=16"] + extra, tmp_path))
+    assert rc == 2
+    assert "unused problem parameters" in capsys.readouterr().err
+    assert not (tmp_path / "funcapprox_report.csv").exists()
+    rc = cli.main(argv("reduce", ["problem=rdc", "n=16", "eps2=5"], tmp_path / "rdc"))
+    assert rc == 2
+    assert "unused problem parameters" in capsys.readouterr().err
+
+
 def test_funcapprox_vector_respects_memory_guard(tmp_path, capsys):
     sets = ["problem=phi1", "n=520", "n_max=8", "kappa=6", "tau=1e-3",
             "methods=vector", "test_times=10"]

@@ -203,8 +203,10 @@ def test_stepper_fallback_for_defective_operator():
 @pytest.mark.parametrize("scheme", ["etd", "imex"])
 def test_iter_full_matches_legacy_trajectory(name, n, n_t, scheme):
     spec = problems.build_problem(name, n)
-    folded = isinstance(kernels.Propagator(spec.A, spec.B, scheme).Qa, kernels.FoldedMatrix)
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    folded = isinstance(prop.Qa, kernels.FoldedMatrix)
     assert folded == (name != "rdc" and n % 2 == 0)
+    assert isinstance(prop.Qb, kernels.FoldedMatrix) == folded
     grid = fullsolve.TimeGrid(spec.t_final, n_t)
     ref = oracles.legacy_full_trajectory(spec, kernels.eig_pair(spec.A),
                                          kernels.eig_pair(spec.B), grid.h, grid.n_t, scheme)

@@ -1,5 +1,5 @@
 """Property tests (hypothesis) for the folded maps, the range finder, the
-column pivots and the binary containers.  Examples are bounded and
+column pivots, phi1 and the binary containers.  Examples are bounded and
 derandomized, so a run is repeatable and stays a few seconds long."""
 
 import numpy as np
@@ -111,6 +111,40 @@ def gaussian_wide(draw):
 @given(Bt=gaussian_wide())
 def test_pivoted_qr_matches_the_greedy_oracle(Bt):
     assert np.array_equal(kernels.pivoted_qr_indices(Bt), oracles.greedy_pivot_oracle(Bt))
+
+
+# ----------------------------------------------------------------------- phi1
+#
+# Tolerances, fixed before the first run: 1e-14 relative (about 45 ulp) for
+# the complex branch against the real one on real z, and for each side of
+# the complex branch's series switch at |z / 2| = 1e-4 against the Taylor
+# sum of phi1, so the jump across the switch is at most 2e-14.
+
+def _phi1_taylor(z):
+    """sum_k z^k / (k + 1)!, to k = 8: below 1e-30 left out for |z| <= 1e-3."""
+    term, total = 1.0 + 0j, 0j
+    for k in range(9):
+        total += term
+        term *= z / (k + 2)
+    return total
+
+
+@bounded(200)
+@given(x=st.one_of(st.floats(-1e5, 700.0), st.floats(-1e-3, 1e-3)))
+def test_phi1_complex_branch_agrees_with_the_real_one_on_real_z(x):
+    real = kernels.phi1(np.array([x]))[0]
+    cplx = kernels.phi1(np.array([complex(x)]))[0]
+    assert np.isfinite(real) and np.isfinite(cplx)
+    assert abs(cplx - real) <= 1e-14 * abs(real)
+
+
+@bounded(200)
+@given(angle=st.floats(0.0, 2.0 * np.pi),
+       radius=st.one_of(st.floats(0.5, 2.0), st.sampled_from([1 - 2.0**-40, 1.0, 1 + 2.0**-40])))
+def test_phi1_complex_branch_is_continuous_across_its_series_switch(angle, radius):
+    z = 2e-4 * radius * np.exp(1j * angle)
+    want = _phi1_taylor(z)
+    assert abs(kernels.phi1(np.array([z]))[0] - want) <= 1e-14 * abs(want)
 
 
 # ---------------------------------------------------------------- persistence
