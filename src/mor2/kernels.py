@@ -29,6 +29,7 @@ EIG_COND_LIMIT = 1e12      # max acceptable condition number of an eigenbasis
 DENSE_SVD_MAX = 256        # largest dimension solved by a full dense SVD
 NEGLIGIBLE_REL = 1e-14     # singular values below this share of sigma_1 count as zero
 RANGE_BLOCK = 32           # first block width of the randomized range finder
+RESIDUAL_ROWS = 32         # rows per block of the range finder's residual norm
 
 # A fixed seed keeps the randomized SVD deterministic run to run.
 _RANGE_SEED = 20240901
@@ -175,9 +176,7 @@ def _range_svd(M, r, block, rng, start=None):
         Q = np.linalg.qr(M @ np.hstack([start, omega]))[0]
     B = Q.T @ M
     Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
-    resid = Q @ B
-    resid -= M
-    resid = float(np.linalg.norm(resid))
+    resid = _residual_norm(M, Q, B)
     if resid > NEGLIGIBLE_REL * s[0]:
         return None
     if r is None:
@@ -186,6 +185,18 @@ def _range_svd(M, r, block, rng, start=None):
         k = min(r, len(s))
     tail = resid + (float(s[k]) if k < len(s) else 0.0)
     return SvdTriplet(Q @ Ub[:, :k], s[:k].copy(), Vh[:k].T.copy(), tail)
+
+
+def _residual_norm(M, Q, B):
+    """||M - Q B||_F summed over blocks of RESIDUAL_ROWS rows, so that no
+    array of M's size is allocated (a block stays in cache)."""
+    total = 0.0
+    for lo in range(0, M.shape[0], RESIDUAL_ROWS):
+        D = Q[lo:lo + RESIDUAL_ROWS] @ B
+        D -= M[lo:lo + RESIDUAL_ROWS]
+        D = D.ravel()
+        total += float(D @ D)
+    return float(np.sqrt(total))
 
 
 def pivoted_qr_indices(Bt):
@@ -287,14 +298,18 @@ def phi1(z):
         w = 0.5 * z
         small = np.abs(w) < 1e-4
         far = w.real < -700.0   # e^{z/2} underflows, sinh(z/2) overflows: -1/z
-        wsafe = np.where(small | far, 1.0, w)
+        # Above Re z = 700 the product of the factors can overflow, and inf * 0
+        # is NaN; e^{-z} is negligible there, so phi1 = e^{z - log z}.
+        high = w.real > 350.0
+        wsafe = np.where(small | far | high, 1.0, w)
         core = np.where(
             small,
             1.0 + w * w / 6.0 + (w * w) * (w * w) / 120.0,
             np.sinh(wsafe) / wsafe,
         )
-        out = np.exp(w) * core
+        out = np.exp(np.where(high, 0.0, w)) * core
         out[far] = -1.0 / z[far]
+        out[high] = np.exp(z[high] - np.log(z[high]))
         return out
     out = np.ones_like(z, dtype=float)
     nz = z != 0.0

@@ -454,3 +454,74 @@ def test_factored_run_holds_no_dense_snapshots():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 8 * FACTORED_N**2
+
+
+# --------------------------------------------------- the factored reference solve
+
+def _dense_reference(spec, grid, scheme):
+    """iter_full's states, copied, with DENSE_SVD_MAX raised past n: the dense route."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "DENSE_SVD_MAX", 10**9)
+        return [U.copy() for _, _, U in fullsolve.iter_full(spec, grid, scheme)]
+
+
+@pytest.mark.parametrize("name", ["rdc", "ac1"])
+def test_factored_reference_matches_dense_route(monkeypatch, name):
+    spec = problems.build_problem(name, FACTORED_N)
+    grid = fullsolve.TimeGrid(spec.t_final, 30)
+    want = _dense_reference(spec, grid, "etd")
+    update, dense_steps = kernels.etd_euler_update, []
+
+    def counting(*args, **kwargs):
+        dense_steps.append(1)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "etd_euler_update", counting)
+    seen, yielded = [], []
+    for i, t, U in fullsolve.iter_full(spec, grid, "etd"):
+        assert np.isclose(t, grid.nodes[i])
+        assert np.linalg.norm(U - want[i]) <= 1e-12 * np.linalg.norm(want[i])
+        seen.append(i)
+        yielded.append(U)
+    assert seen == list(range(grid.n_t + 1))
+    assert all(U is yielded[0] for U in yielded)    # one matrix, overwritten step by step
+    assert not dense_steps                          # every step taken as factors
+
+
+# compressions in order: U0, F0, the first step (cold), F1 and the second step (warm)
+@pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
+def test_uncertified_compression_continues_the_reference_densely(monkeypatch, fail_at):
+    spec, times, (dstate, _, _) = _short_rdc_run()
+    grid = fullsolve.TimeGrid(times[-1], len(times) - 1)
+    compress, calls = kernels.compress, []
+
+    def failing(M, start=None):
+        calls.append(start is not None)
+        return None if len(calls) == fail_at else compress(M, start)
+
+    monkeypatch.setattr(kernels, "compress", failing)
+    seen, yielded = [], []
+    for i, t, U in fullsolve.iter_full(spec, grid, "etd"):
+        want = dstate.matrix(i)
+        assert np.linalg.norm(U - want) <= 1e-12 * np.linalg.norm(want)
+        seen.append(i)
+        yielded.append(U)
+    assert calls == [False, False, False, True, True][:fail_at]
+    assert seen == list(range(len(times)))
+    assert all(U is yielded[0] for U in yielded)
+
+
+def test_factored_reference_memory_does_not_grow_with_the_grid():
+    # Bound fixed before measuring: the 40-step peak exceeds the 10-step one
+    # by less than one n x n matrix (the dense run kept would add 30 of them).
+    spec = problems.build_problem("rdc", FACTORED_N)
+    peaks = []
+    for n_t in (10, 40):
+        tracemalloc.start()
+        try:
+            for _ in fullsolve.iter_full(spec, fullsolve.TimeGrid(spec.t_final, n_t), "etd"):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * FACTORED_N**2

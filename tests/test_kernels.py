@@ -163,6 +163,19 @@ def test_dense_svd_tail_is_the_next_singular_value():
     assert kernels.truncated_svd(np.diag([3.0, 2.0, 1.0]), 3).tail == 0.0
 
 
+def test_range_finder_residual_norm_by_row_blocks():
+    # 300 rows: nine full blocks and a partial one; a 20-column sketch of a
+    # rank-40 matrix leaves a residual well above rounding
+    rng = np.random.default_rng(18)
+    M = _low_rank(rng, 300, 260, 40)
+    assert min(M.shape) > kernels.DENSE_SVD_MAX
+    Q = np.linalg.qr(M @ rng.standard_normal((260, 20)))[0]
+    B = Q.T @ M
+    want = np.linalg.norm(Q @ B - M)
+    assert want > 1e-6
+    assert np.isclose(kernels._residual_norm(M, Q, B), want, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------- pivoted_qr_indices
 
 def test_pivoted_qr_unit_rows():
@@ -476,6 +489,19 @@ def test_phi1_complex_matches_definition():
     assert np.allclose(kernels.phi1(z), (np.exp(z) - 1.0) / z, atol=1e-12)
     tiny = np.array([1e-6 + 1e-6j])
     assert np.allclose(kernels.phi1(tiny), (np.exp(tiny) - 1.0) / tiny, atol=1e-12)
+
+
+def test_phi1_complex_branch_has_no_nan_at_large_positive_real_part():
+    z = np.array([700.0, 800.0, 1420.0])
+    with np.errstate(over="ignore"):
+        real, cplx = kernels.phi1(z), kernels.phi1(z + 0j)
+        off_axis = kernels.phi1(np.array([800.0 + 0.5j, 1420.0 + 1.0j]))
+    assert np.isfinite(real[0]) and np.all(np.isinf(real[1:]))
+    assert np.isclose(cplx[0].real, real[0], rtol=1e-12, atol=0.0)
+    assert np.array_equal(cplx.real[1:], real[1:])
+    assert np.all(cplx.imag == 0.0)
+    # e^z / z with arg(z) < Im z < pi / 2: both parts overflow to +inf
+    assert np.all(off_axis.real == np.inf) and np.all(off_axis.imag == np.inf)
 
 
 def test_phi1_matches_block_oracle():
