@@ -12,8 +12,8 @@ kept in eigen-coordinates of A and B, so a dense step costs four n x n
 multiplications (F mapped in, the state mapped out) plus a Hadamard update.
 Above kernels.DENSE_SVD_MAX, in real coordinates, the snapshot run and the
 reference solve (iter_full) keep the state and F as certified low-rank
-factors instead, and their maps are n x r products; they step densely
-where a compression is not certified.
+factors instead, with n x r maps and the step applied as the coordinate
+matrix is formed; they step densely where a compression is not certified.
 A pair of even-size centrosymmetric operators (J A J = A, as the Dirichlet
 and periodic Laplacians are) with real eigenbases in their halves is folded:
 each eigenproblem splits into two half-size ones, and each multiplication
@@ -121,72 +121,61 @@ def _march(prop, spec, times, h, U, first=0, f_at_last=False):
         yield i, t, U, F
 
 
-def _factored_steps(prop, spec, times, h):
+def _factored_steps(prop, spec, times, h, U, f_at_last=False):
     """Step through the time nodes with every state and F kept as low-rank factors.
 
-    Yields (index, time, state, F) node by node, the state being U0 itself
-    at node 0 and kernels.SvdTriplet factors at every later node, F always
-    SvdTriplet factors.  It yields nothing, or stops before the node it
-    cannot reach, when the run cannot stay factored: complex coordinates, a
-    matrix not above DENSE_SVD_MAX, a compression kernels.compress cannot
-    certify (as for a rank-heavy state), or a non-finite step.  A step forms
-    U = L R^T and F(U), both transient, compresses F (warm-started from the
-    previous F's row space), maps its factors into coordinates with two
-    n x r products, forms the coordinate state and F there and advances
-    them with prop.advance, compresses the result (warm-started likewise)
-    and maps its factors out with two more n x r products.  The coordinate
-    factors of the compression serve the next step as they are.  A
-    non-finite F or step is not certified either, so the dense route
-    reports the divergence.
+    U, the state at node 0, is overwritten by the state L R^T at every later
+    node.  Yields (index, time, (L, R) or None at node 0, F as SvdTriplet
+    factors: None at the last node unless f_at_last, and None where F is
+    not certified).  It yields nothing, or stops early, when the run cannot
+    stay factored: complex coordinates, a matrix not above DENSE_SVD_MAX, or
+    a compression kernels.compress cannot certify (a rank-heavy state, or a
+    non-finite F or step, which the dense route then reports).  A step maps
+    F's factors in, forms the stepped coordinate matrix (advance_factors),
+    compresses it warm-started from the last one's row space (F from the
+    last F's) and maps its factors out.
     """
     bases = (prop.Qa, prop.Qa_inv, prop.Qb, prop.Qb_inv)
-    U = np.array(spec.U0, dtype=float)
     if min(U.shape) <= kernels.DENSE_SVD_MAX or any(np.iscomplexobj(Q) for Q in bases):
         return
     trip = kernels.compress(U)
     if trip is None:
         return
-    Lc, Rc = prop.Qa_inv @ (trip.U * trip.S), prop.Qb.T @ trip.V
-    state, start_u, start_f = U, None, None
-    dense = np.empty(U.shape)   # U at every later node: one buffer, not an n x n array per step
+    Lc, Rc = prop.map_factors(trip.U * trip.S, trip.V)
+    factors, start_u, start_f = None, None, None
     for i, t in enumerate(times):
         if i > 0:
-            state = kernels.factored_svd(L, R)
-            U = np.matmul(state.U * state.S, state.V.T, out=dense)
-        ftrip = kernels.compress(problems.eval_nonlinear(spec, U, t), start_f)
-        if ftrip is None:
+            factors = prop.map_factors(Lc, Rc, out=True)
+            np.matmul(factors[0], factors[1].T, out=U)
+        last = i == len(times) - 1
+        ftrip = None if last and not f_at_last else kernels.compress(
+            problems.eval_nonlinear(spec, U, t), start_f)
+        yield i, t, factors, ftrip
+        if last or ftrip is None:
             return
-        yield i, t, state, ftrip
-        if i == len(times) - 1:
-            return
-        Uhat, Fhat = prop.work((len(Lc), len(Rc)), float)
-        np.matmul(Lc, Rc.T, out=Uhat)
-        np.matmul(prop.Qa_inv @ (ftrip.U * ftrip.S), (prop.Qb.T @ ftrip.V).T, out=Fhat)
-        trip = kernels.compress(prop.advance(Uhat, Fhat, h), start_u)
+        M = prop.advance_factors(Lc, Rc, *prop.map_factors(ftrip.U * ftrip.S, ftrip.V), h)
+        trip = kernels.compress(M, start_u)
         if trip is None:
             return
         start_f, start_u = ftrip.V, trip.V
         Lc, Rc = trip.U * trip.S, trip.V
-        L, R = prop.Qa @ Lc, prop.Qb_inv.T @ Rc
 
 
 def iter_full(spec, grid, scheme="imex"):
     """Yield (index, time, state) along the grid without storing the run.
 
     Above kernels.DENSE_SVD_MAX, in real coordinates, it steps as certified
-    low-rank factors, as the snapshot run does (_factored_steps), and forms
-    each state from them, within about 2e-13 relative of dense steps; from
-    a compression that is not certified on, it steps densely from the last
-    state yielded.  Memory does not grow with the grid.  The yielded state
-    is one matrix, overwritten by the next step; copy it to keep it.
+    low-rank factors (_factored_steps) formed straight into the yielded
+    matrix, within about 2e-13 relative of dense steps; from a compression
+    that is not certified on, it steps densely from the last state yielded.
+    Memory does not grow with the grid.  The yielded state is one matrix,
+    overwritten by the next step; copy it to keep it.
     """
     prop = kernels.Propagator(spec.A, spec.B, scheme)
     nodes = grid.nodes
     U = np.array(spec.U0, dtype=float)
     done = -1
-    for done, t, state, _ in _factored_steps(prop, spec, nodes, grid.h):
-        if done > 0:
-            np.matmul(state.U * state.S, state.V.T, out=U)
+    for done, t, _, _ in _factored_steps(prop, spec, nodes, grid.h, U):
         yield done, t, U
     if done == grid.n_t:
         return
@@ -213,10 +202,12 @@ def trajectory_source(spec, times, scheme="imex"):
         raise DimensionError("times must be strictly increasing and equispaced")
     tic = time.perf_counter()
     prop = kernels.Propagator(spec.A, spec.B, scheme)
-    run = [(U, F) for _, _, U, F in _factored_steps(prop, spec, times, h)]
-    if len(run) < m:
-        U0 = np.array(spec.U0, dtype=float)
-        run = [(U.copy(), F) for _, _, U, F in _march(prop, spec, times, h, U0, f_at_last=True)]
+    U = np.array(spec.U0, dtype=float)
+    run = [(U.copy() if LR is None else kernels.factored_svd(*LR), F)
+           for _, _, LR, F in _factored_steps(prop, spec, times, h, U, f_at_last=True)]
+    if len(run) < m or run[-1][1] is None:
+        U = np.array(spec.U0, dtype=float)
+        run = [(U.copy(), F) for _, _, U, F in _march(prop, spec, times, h, U, f_at_last=True)]
     states, nonls = map(list, zip(*run))
     return (Trajectory(times, states), Trajectory(times, nonls, "nonlinearity"),
             time.perf_counter() - tic)

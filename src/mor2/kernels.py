@@ -133,7 +133,7 @@ def compress(M, start=None):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError("compress expects a matrix")
-    return _range_finder(M, None, start) if np.all(np.isfinite(M)) else None
+    return _range_finder(M, None, start)
 
 
 def factored_svd(L, R):
@@ -164,18 +164,25 @@ def _range_finder(M, r, start=None):
 
 
 def _range_svd(M, r, block, rng, start=None):
-    """truncated_svd from a block-column range finder, or None when its
-    residual is not negligible.  With start the test matrix is [start,
-    block Gaussian columns] and there is no power iteration; r = None
+    """truncated_svd from a block-column range finder, or None when M is not
+    finite or the residual is not negligible.  With start the test matrix is
+    [start, block Gaussian columns] and there is no power iteration; r = None
     keeps the triplets at or above NEGLIGIBLE_REL * sigma_1."""
     omega = rng.standard_normal((M.shape[1], block))
+    sketch = M @ omega if start is None else (np.hstack([start, omega]).T @ M.T).T
+    if not np.all(np.isfinite(sketch)):     # nor is M: a non-finite entry spoils its row
+        return None
     if start is None:
-        Q = np.linalg.qr(M @ omega)[0]
+        Q = np.linalg.qr(sketch)[0]
         Q = np.linalg.qr(M @ np.linalg.qr(M.T @ Q)[0])[0]     # one power iteration
-    else:
-        Q = np.linalg.qr(M @ np.hstack([start, omega]))[0]
-    B = Q.T @ M
-    Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
+        B = Q.T @ M
+        Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
+    else:   # a column-major sketch, which the QR does not copy; B = T^T Qt^T, so an l x l SVD
+        Q = scipy.linalg.qr(sketch, overwrite_a=True, mode="economic", check_finite=False)[0]
+        B = Q.T @ M
+        Qt, T = np.linalg.qr(B.T)
+        Ub, s, Wh = np.linalg.svd(T.T)
+        Vh = Wh @ Qt.T
     resid = _residual_norm(M, Q, B)
     if resid > NEGLIGIBLE_REL * s[0]:
         return None
@@ -312,8 +319,10 @@ def phi1(z):
         out[high] = np.exp(z[high] - np.log(z[high]))
         return out
     out = np.ones_like(z, dtype=float)
-    nz = z != 0.0
+    high = z > 700.0            # expm1 overflows before the quotient does: e^{z - log z}
+    nz = (z != 0.0) & ~high
     out[nz] = np.expm1(z[nz]) / z[nz]
+    out[high] = np.exp(z[high] - np.log(z[high]))
     return out
 
 
@@ -444,10 +453,11 @@ class Propagator:
     inverse are FoldedMatrix objects, which halve the cost of every map into
     or out of the coordinates.  Every other pair keeps dense bases.  B = A
     reuses A's eigenbasis; B = A^T takes (Qa^-1)^T and Qa^T as transposed
-    views.  When an eigenbasis (or a half's) is too ill conditioned the
-    coordinates are the real Schur bases of A and B instead, and a step
-    solves one quasi-triangular Sylvester equation.  The step factors are
-    kept for the latest h only.
+    views; then, as for a symmetric B = A, map_factors takes both factors of
+    L R^T with one product.  When an eigenbasis (or a half's) is too ill
+    conditioned the coordinates are the real Schur bases of A and B instead,
+    and a step solves one quasi-triangular Sylvester equation.  The step
+    factors are kept for the latest h only.
     """
 
     def __init__(self, A, B, scheme="etd"):
@@ -456,13 +466,14 @@ class Propagator:
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
         self.scheme = scheme
-        self.fallback = False
+        self.fallback = self.shared = False
         try:
             eigA = _eig_folded(A)
             same = np.array_equal(B, A)
             if same or np.array_equal(B, A.T):      # B's halves are A's, transposed or not
                 eigA = eig_pair(A) if eigA is None else eigA
                 eigB = eigA if same else EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T)
+                self.shared = np.array_equal(B, A.T)       # Qb^T = Qa^-1, Qb^-T = Qa
             else:
                 eigB = None if eigA is None else _eig_folded(B)
                 if eigB is None:        # both sides fold or neither does
@@ -497,16 +508,40 @@ class Propagator:
             self._work = (np.empty(shape, dtype), np.empty(shape, dtype))
         return self._work
 
+    def map_factors(self, L, R, out=False):
+        """(Qa^-1 L, Qb^T R), coordinate factors of L R^T, or with out (Qa L, Qb^-T R);
+        Q X is taken as (X^T Q^T)^T, which OpenBLAS runs faster for a thin X."""
+        left, right = (self.Qa, self.Qb_inv.T) if out else (self.Qa_inv, self.Qb.T)
+        if not self.shared:
+            return (L.T @ left.T).T, (R.T @ right.T).T
+        LR = (np.hstack([L, R]).T @ left.T).T       # right is left
+        return LR[:, :L.shape[1]], LR[:, L.shape[1]:]
+
+    def advance_factors(self, Lc, Rc, Lf, Rf, h):
+        """advance of Uhat = Lc Rc^T at frozen Fhat = Lf Rf^T, into scratch.  Eigen-coordinates
+        form neither: etd (E = ea eb^T) takes P .* (Lf Rf^T) + (ea .* Lc)(eb .* Rc)^T,
+        the product accumulated in place, imex E .* ([Lc, h Lf] [Rc, Rf]^T)."""
+        M, spare = self.work((len(Lc), len(Rc)), float)
+        if self.fallback:
+            return self.advance(np.matmul(Lc, Rc.T, out=M), np.matmul(Lf, Rf.T, out=spare), h)
+        E, P = self._factors(h)
+        if self.scheme == "imex":
+            np.matmul(np.hstack([Lc, h * Lf]), np.hstack([Rc, Rf]).T, out=M)
+            return np.multiply(M, E, out=M)
+        np.multiply(np.matmul(Lf, Rf.T, out=M), P, out=M)
+        a, b = np.exp(h * self.lb)[:, None] * Rc, np.exp(h * self.la)[:, None] * Lc
+        for X in (a, b):    # E's far corner would make subnormal products, ~100x slower on x86
+            X[np.abs(X) < 1e-150 * np.max(np.abs(X), initial=0.0)] = 0.0
+        scipy.linalg.blas.dgemm(1.0, a, b, 1.0, M.T, trans_b=True, overwrite_c=True)
+        return M
+
     def advance(self, Uhat, Fhat, h):
         """One step of the coordinates Uhat at frozen Fhat (also in coordinates).
 
         In eigen-coordinates Uhat is updated in place and Fhat overwritten;
         in Schur coordinates the step is a new matrix.  Returns the new Uhat.
         """
-        if h != self._h:
-            self._E, self._P = self._step_factors(h)
-            self._h = h
-        E, P = self._E, self._P
+        E, P = self._factors(h)
         if not self.fallback:
             Uhat *= E
             Fhat *= P
@@ -517,6 +552,12 @@ class Propagator:
         if self.scheme == "imex":
             return _schur_sylvester(E, P, Uhat + h * Fhat)
         return E @ Uhat @ P + _schur_sylvester(self.Ta, self.Tb, E @ Fhat @ P - Fhat)
+
+    def _factors(self, h):
+        if h != self._h:
+            self._E, self._P = self._step_factors(h)
+            self._h = h
+        return self._E, self._P
 
     def _step_factors(self, h):
         z = h * (self.la[:, None] + self.lb[None, :])

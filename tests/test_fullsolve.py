@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -509,6 +510,44 @@ def test_uncertified_compression_continues_the_reference_densely(monkeypatch, fa
     assert calls == [False, False, False, True, True][:fail_at]
     assert seen == list(range(len(times)))
     assert all(U is yielded[0] for U in yielded)
+
+
+def test_factored_reference_evaluates_f_only_where_a_step_uses_it(monkeypatch):
+    spec, times, _ = _short_rdc_run()
+    grid = fullsolve.TimeGrid(times[-1], len(times) - 1)
+    evaluate, compress, evals, compressions = problems.eval_nonlinear, kernels.compress, [], []
+
+    def counting_eval(*args):
+        evals.append(args[2])
+        return evaluate(*args)
+
+    def counting_compress(M, start=None):
+        compressions.append(start is not None)
+        return compress(M, start)
+
+    monkeypatch.setattr(problems, "eval_nonlinear", counting_eval)
+    monkeypatch.setattr(kernels, "compress", counting_compress)
+    assert [i for i, _, _ in fullsolve.iter_full(spec, grid, "etd")] == list(range(grid.n_t + 1))
+    assert evals == list(grid.nodes[:-1])
+    assert len(compressions) == 2 * grid.n_t + 1
+    # the snapshot run keeps F at every node, the last one too
+    evals.clear()
+    state, nonl, _ = fullsolve.trajectory_source(spec, times, "etd")
+    assert _is_factored(state) and _is_factored(nonl)
+    assert evals == list(times)
+
+
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_factored_run_of_a_zero_state_stays_zero(monkeypatch, scheme):
+    # U0 = 0 and F(0) = 0: every compression certifies rank 0, empty factors
+    spec = dataclasses.replace(problems.build_problem("rdc", FACTORED_N),
+                               U0=np.zeros((FACTORED_N, FACTORED_N)))
+    grid = fullsolve.TimeGrid(0.01, 3)
+    monkeypatch.setattr(kernels, "etd_euler_update", None)     # no dense step
+    assert [np.count_nonzero(U) for _, _, U in fullsolve.iter_full(spec, grid, scheme)] == [0] * 4
+    state, nonl, _ = fullsolve.trajectory_source(spec, grid.nodes, scheme)
+    assert _is_factored(state) and all(len(state.snapshot(i).S) == 0 for i in range(1, 4))
+    assert not np.any(state.matrix(3)) and not np.any(nonl.matrix(3))
 
 
 def test_factored_reference_memory_does_not_grow_with_the_grid():

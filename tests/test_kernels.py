@@ -176,6 +176,16 @@ def test_range_finder_residual_norm_by_row_blocks():
     assert np.isclose(kernels._residual_norm(M, Q, B), want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_compress_refuses_a_non_finite_matrix_cold_and_warm(bad):
+    rng = np.random.default_rng(19)
+    M = _low_rank(rng, 300, 280, 6)
+    start = kernels.compress(M).V
+    M[123, 45] = bad
+    assert kernels.compress(M) is None
+    assert kernels.compress(M, start) is None
+
+
 # ---------------------------------------------------------- pivoted_qr_indices
 
 def test_pivoted_qr_unit_rows():
@@ -504,6 +514,17 @@ def test_phi1_complex_branch_has_no_nan_at_large_positive_real_part():
     assert np.all(off_axis.real == np.inf) and np.all(off_axis.imag == np.inf)
 
 
+def test_phi1_real_branch_is_finite_where_the_quotient_is():
+    # expm1 overflows at z = 709.78, (e^z - 1) / z only at z = 716.9
+    z = np.array([709.9, 710.0, 713.0, 716.0])
+    real, cplx = kernels.phi1(z), kernels.phi1(z + 0j)
+    assert np.all(np.isfinite(real))
+    assert np.allclose(cplx.real, real, rtol=1e-13, atol=0.0)
+    with np.errstate(over="ignore"):
+        assert kernels.phi1(720.0)[0] == np.inf
+        assert kernels.phi1(720.0 + 0j)[0].real == np.inf
+
+
 def test_phi1_matches_block_oracle():
     rng = np.random.default_rng(61)
     d = rng.standard_normal(6)
@@ -623,6 +644,62 @@ def test_propagator_unknown_scheme():
     with pytest.raises(DimensionError):
         kernels.Propagator([[1.0]], [[1.0]], "rk4")
 
+
+
+# ----------------------------------------- low-rank maps and the fused step
+
+def _problem_pair(case):
+    """(A, B) at n = 64: ac1's folded B = A and rdc's dense B = A^T share their
+    maps; ac1's A beside ac2's B (both folded) and rdc's A beside ac1's B
+    (both dense) share none."""
+    ac1, ac2, rdc = (problems.build_problem(name, 64) for name in ("ac1", "ac2", "rdc"))
+    return {"ac1": (ac1.A, ac1.B), "rdc": (rdc.A, rdc.B),
+            "folded-unrelated": (ac1.A, ac2.B), "unrelated": (rdc.A, ac1.B)}[case]
+
+
+PAIR_CASES = pytest.mark.parametrize("case, shared, folded", [
+    ("ac1", True, True), ("rdc", True, False),
+    ("folded-unrelated", False, True), ("unrelated", False, False),
+])
+
+
+def _random_factors(rng, n, m, k):
+    return rng.standard_normal((n, k)), rng.standard_normal((m, k))
+
+
+@PAIR_CASES
+def test_stacked_maps_match_separate_products(case, shared, folded):
+    A, B = _problem_pair(case)
+    prop = kernels.Propagator(A, B, "etd")
+    assert prop.shared == shared and not prop.fallback
+    assert isinstance(prop.Qa, kernels.FoldedMatrix) == folded
+    L, R = _random_factors(np.random.default_rng(93), len(A), len(B), 4)
+    Qa, Qa_inv, Qb, Qb_inv = map(np.asarray, (prop.Qa, prop.Qa_inv, prop.Qb, prop.Qb_inv))
+    stacked = prop.map_factors(L, R), prop.map_factors(L, R, out=True)
+    prop.shared = False         # the same maps, one product per side
+    separate = prop.map_factors(L, R), prop.map_factors(L, R, out=True)
+    dense = (Qa_inv @ L, Qb.T @ R), (Qa @ L, Qb_inv.T @ R)
+    for got, one, want in zip(stacked, separate, dense):
+        for g, o, w in zip(got, one, want):
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - o) <= 1e-13 * np.linalg.norm(w)
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+
+
+@PAIR_CASES
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_fused_factored_step_matches_advance(case, shared, folded, scheme):
+    A, B = _problem_pair(case)
+    prop = kernels.Propagator(A, B, scheme)
+    rng = np.random.default_rng(94)
+    Lc, Rc = _random_factors(rng, len(A), len(B), 5)
+    Lf, Rf = _random_factors(rng, len(A), len(B), 3)
+    # the second step reuses the cached factors; at h = 0.09 rdc's E = ea eb^T
+    # reaches below 1e-308, where the etd products are flushed
+    for h in (0.01, 0.01, 0.002, 0.09):
+        want = prop.advance(Lc @ Rc.T, Lf @ Rf.T, h)
+        got = prop.advance_factors(Lc, Rc, Lf, Rf, h)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # ------------------------------------------ folded (centrosymmetric) operators

@@ -2,6 +2,8 @@
 column pivots, phi1 and the binary containers.  Examples are bounded and
 derandomized, so a run is repeatable and stays a few seconds long."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -95,6 +97,33 @@ def test_compress_cold_and_warm_stay_within_the_tail(M, drop, seed):
         warm = kernels.compress(M, start.V[:, drop:])
         assert warm is not None
         _within_tail(M, warm)
+
+
+@st.composite
+def exact_low_rank(draw):
+    """n x n, n from 300 to 600, of rank 1 to 20, singular values in [1e-3, 1]."""
+    n = draw(st.integers(300, 600))
+    k = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.sort(10.0 ** rng.uniform(-3.0, 0.0, k))[::-1]
+    return (oracles.random_orthonormal(rng, n, k) * s) @ oracles.random_orthonormal(rng, n, k).T
+
+
+@bounded(8)
+@given(M=exact_low_rank(), seed=st.integers(0, 2**32 - 1))
+def test_warm_compress_is_orthonormal_within_the_tail_at_the_cold_rank(M, seed):
+    cold = kernels.compress(M)
+    rng = np.random.default_rng(seed)
+    x, y = (v / np.linalg.norm(v) for v in rng.standard_normal((2, len(M))))
+    start = kernels.compress(M + 1e-6 * np.linalg.norm(M, 2) * np.outer(x, y)).V
+    with mock.patch.object(kernels, "_range_svd", wraps=kernels._range_svd) as passes:
+        warm = kernels.compress(M, start)
+    assert passes.call_count == 1       # the warm pass certified it: no cold blocks
+    k = len(warm.S)
+    assert k == len(cold.S)
+    assert np.allclose(warm.U.T @ warm.U, np.eye(k), rtol=0.0, atol=1e-12)
+    assert np.allclose(warm.V.T @ warm.V, np.eye(k), rtol=0.0, atol=1e-12)
+    _within_tail(M, warm)
 
 
 # ------------------------------------------------------------- column pivots
