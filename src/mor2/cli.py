@@ -4,7 +4,6 @@ Subcommands
     funcapprox  approximate an analytic matrix function from snapshots
     reduce      build bases + interpolation artifacts for a PDE benchmark
     solve       integrate the reduced model from stored artifacts
-    full        integrate the full model and persist snapshot streams
     sweep-tau   selection counts as the tolerance varies
 
 Configuration is a flat key=value file; any key can be overridden on the
@@ -390,7 +389,6 @@ def cmd_solve(cfg, out):
         _write_csv(out / "error_vs_time.csv", cfg, ["time", "rel_error"],
                    [[t, e] for t, e in per_node])
     rom.export_trajectory_csv(out / "reduced_trajectory.csv", traj)
-    persist.write_snapshots(out / "reduced_states.mor2snap", traj)
     msg = f"solve: {grid.n_t} steps in {online_seconds:.4f}s"
     if mean_err is not None:
         msg += f", mean relative error {mean_err:.3e}"
@@ -401,20 +399,6 @@ def cmd_solve(cfg, out):
         "per_step_seconds": online_seconds / max(grid.n_t, 1),
         "offline": manifest["timings"],
     }}
-
-
-# ---------------------------------------------------------------------------
-# full
-
-def cmd_full(cfg, out):
-    spec = _build_spec(cfg)
-    tic = time.perf_counter()
-    state_src, nonl_src, snap_seconds = _snapshots(cfg, spec)
-    persist.write_snapshots(out / "state.mor2snap", state_src)
-    persist.write_snapshots(out / "nonlinearity.mor2snap", nonl_src)
-    print(f"full: stored {len(state_src.times)} snapshots of size {cfg.n}")
-    return {"timings": {"snapshot_seconds": snap_seconds,
-                        "total_seconds": time.perf_counter() - tic}}
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +434,6 @@ _COMMANDS = {
     "funcapprox": (cmd_funcapprox, ANALYTIC_PROBLEMS),
     "reduce": (cmd_reduce, PDE_PROBLEMS),
     "solve": (cmd_solve, PDE_PROBLEMS),
-    "full": (cmd_full, PDE_PROBLEMS),
     "sweep-tau": (cmd_sweep_tau, PDE_PROBLEMS),
 }
 

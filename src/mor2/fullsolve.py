@@ -55,8 +55,6 @@ class TimeGrid:
 class Trajectory:
     """Matrices at increasing times, read by index or as (t, U) pairs.
 
-    kind names what they are: "state" (full states), "nonlinearity"
-    (F at those states) or "reduced-state" (cores of a reduced run).
     states holds each as an ndarray or, from a factored snapshot run, as
     kernels.SvdTriplet factors; matrix(i) and iteration rebuild the latter
     densely on demand, snapshot(i) returns what is stored.  seconds is the
@@ -65,7 +63,6 @@ class Trajectory:
 
     times: np.ndarray
     states: list
-    kind: str = "state"
     seconds: float = 0.0
 
     def snapshot(self, i):
@@ -88,7 +85,6 @@ class AnalyticSource:
 
     fn: problems.AnalyticFunction
     times: np.ndarray
-    kind: str = "state"
 
     def matrix(self, i):
         return problems.sample_analytic(self.fn, self.times[i])
@@ -209,5 +205,5 @@ def trajectory_source(spec, times, scheme="imex"):
         U = np.array(spec.U0, dtype=float)
         run = [(U.copy(), F) for _, _, U, F in _march(prop, spec, times, h, U, f_at_last=True)]
     states, nonls = map(list, zip(*run))
-    return (Trajectory(times, states), Trajectory(times, nonls, "nonlinearity"),
+    return (Trajectory(times, states), Trajectory(times, nonls),
             time.perf_counter() - tic)

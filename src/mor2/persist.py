@@ -1,8 +1,4 @@
-"""Binary persistence of snapshot trajectories and basis pairs.
-
-Snapshot container ("MOR2SNAP"):
-    magic 8s | version u16 | kind u8 | rows u32 | cols u32 | count u32 |
-    count x ( time f64 | rows*cols f64 column-major )
+"""Binary persistence of basis pairs and their interpolation operators.
 
 Basis container ("MOR2BAS"):
     magic 7s | version u16 |
@@ -27,15 +23,10 @@ import numpy as np
 
 from .deim import deim_operator
 from .errors import FormatError
-from .fullsolve import Trajectory
 from .pod import BasisPair
 
-SNAP_MAGIC = b"MOR2SNAP"
 BASIS_MAGIC = b"MOR2BAS"
 VERSION = 1
-
-_KIND_CODES = {"state": 0, "nonlinearity": 1, "reduced-state": 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 def _matrix_bytes(M):
@@ -63,45 +54,6 @@ def _read_indices(fh, count, size, what):
     if np.any(idx >= size) or len(np.unique(idx)) != count:
         raise FormatError(f"{what} indices are out of range [0, {size}) or repeated")
     return idx
-
-
-def write_snapshots(path, traj):
-    """Serialize a Trajectory."""
-    if traj.kind not in _KIND_CODES:
-        raise FormatError(f"unknown stream kind {traj.kind!r}")
-    count = len(traj.states)
-    if count == 0:
-        raise FormatError("refusing to write an empty snapshot stream")
-    rows, cols = traj.states[0].shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sHBIII", SNAP_MAGIC, VERSION,
-                             _KIND_CODES[traj.kind], rows, cols, count))
-        for t, M in traj:
-            if M.shape != (rows, cols):
-                raise FormatError("snapshot shapes are not uniform")
-            fh.write(struct.pack("<d", float(t)))
-            fh.write(_matrix_bytes(M))
-
-
-def read_snapshots(path):
-    """Load a Trajectory."""
-    with open(path, "rb") as fh:
-        header = _read(fh, struct.calcsize("<8sHBIII"), "snapshot header")
-        magic, version, kind, rows, cols, count = struct.unpack("<8sHBIII", header)
-        if magic != SNAP_MAGIC:
-            raise FormatError("not a snapshot container (bad magic)")
-        if version != VERSION:
-            raise FormatError(f"unsupported snapshot container version {version}")
-        if kind not in _KIND_NAMES:
-            raise FormatError(f"unknown snapshot kind code {kind}")
-        times, mats = [], []
-        for i in range(count):
-            (t,) = struct.unpack("<d", _read(fh, 8, f"time of snapshot {i}"))
-            times.append(t)
-            mats.append(_read_matrix(fh, rows, cols, f"snapshot {i}"))
-        if fh.read(1):
-            raise FormatError("trailing bytes after the last snapshot")
-    return Trajectory(np.array(times), mats, _KIND_NAMES[kind])
 
 
 def write_basis(path, basis, op=None):

@@ -100,7 +100,7 @@ def run_online(model, grid):
         coords[i] = Yhat
     states = prop.to_physical(coords)
     states[0] = model.Y0
-    return Trajectory(nodes.copy(), list(states), "reduced-state", time.perf_counter() - tic)
+    return Trajectory(nodes.copy(), list(states), seconds=time.perf_counter() - tic)
 
 
 def lift(ubasis, Y):

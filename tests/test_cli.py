@@ -174,8 +174,11 @@ def test_solve_runs_from_artifacts(artifacts):
     _, header, rows = read_report(artifacts / "solve_report.csv")
     assert header[-1] == "mean_error" and len(rows) == 1
     assert float(rows[0][-1]) <= 1e-2
-    stream = persist.read_snapshots(artifacts / "reduced_states.mor2snap")
-    assert stream.kind == "reduced-state" and len(stream.states) == 41
+    # the per-node output is reduced_trajectory.csv; no snapshot stream is written
+    assert sorted(p.name for p in artifacts.iterdir()) == [
+        "error_vs_time.csv", "f_basis.mor2bas", "manifest.json", "offline_report.csv",
+        "reduced_trajectory.csv", "run_info.json", "singular_decay.csv",
+        "solve_report.csv", "u_basis.mor2bas"]
     _, _, err_rows = read_report(artifacts / "error_vs_time.csv")
     assert len(err_rows) == 40  # initial node carries no error
     _, _, traj_rows = read_report(artifacts / "reduced_trajectory.csv")
@@ -276,6 +279,17 @@ def test_solve_rejects_altered_interpolation_matrix(artifacts, tmp_path, capsys)
     assert "artifact error" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_nonlinearity_basis_without_its_trailer(artifacts, tmp_path,
+                                                                capsys):
+    work = tmp_path / "notrailer"
+    shutil.copytree(artifacts, work)
+    path = work / "f_basis.mor2bas"
+    fbasis, _ = persist.read_basis(path)
+    persist.write_basis(path, fbasis)
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    assert "lacks its interpolation trailer" in capsys.readouterr().err
+
+
 def test_solve_rejects_oversized_basis_header(artifacts, tmp_path, capsys):
     work = tmp_path / "oversized"
     shutil.copytree(artifacts, work)
@@ -341,18 +355,12 @@ def test_funcapprox_vector_respects_memory_guard(tmp_path, capsys):
 
 # ------------------------------------------------------- full and sweep-tau
 
-def test_full_persists_both_streams(tmp_path):
-    rc = cli.main(argv("full", AC1_SETS, tmp_path))
-    assert rc == 0
-    state = persist.read_snapshots(tmp_path / "state.mor2snap")
-    nonl = persist.read_snapshots(tmp_path / "nonlinearity.mor2snap")
-    assert state.kind == "state" and nonl.kind == "nonlinearity"
-    assert len(state.states) == 8 and len(nonl.states) == 8
-    assert state.times[0] == 0.0
-    assert state.states[0].shape == (16, 16)
-    info = json.loads((tmp_path / "run_info.json").read_text())
-    assert info["command"] == "full"
-    assert info["timings"]["snapshot_seconds"] >= 0.0
+def test_full_command_is_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv("full", AC1_SETS, tmp_path / "out"))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_tau_reports_counts(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from conftest import identity_basis, make_spec
 from mor2 import deim, fullsolve, pod, problems
+from mor2.errors import RankError
 
 
 def random_basis_pair(rng, n, k1, k2, symmetric=False):
@@ -80,6 +81,17 @@ def test_build_deim_selection_amplification():
 
 
 # ------------------------------------------------------------- deim_approximate
+
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_deim_operator_refuses_a_singular_selection(side):
+    # rows 0 and 2 of V agree up to 1e-16
+    V = np.eye(6)[:, :2]
+    V[2] = [1.0, 1e-16]
+    good, bad = np.array([0, 1]), np.array([0, 2])
+    rows, cols = (bad, good) if side == "row" else (good, bad)
+    with pytest.raises(RankError, match=f"{side} selection matrix is numerically singular"):
+        deim.deim_operator(V, V, rows, cols)
+
 
 def test_deim_exact_for_square_basis():
     rng = np.random.default_rng(113)

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import full_step, make_spec, run_full, stable_pair
-from mor2 import fullsolve, kernels, persist, pod, problems
+from mor2 import fullsolve, kernels, pod, problems
 from mor2.errors import ConditioningError, DimensionError, DivergenceError
 
 
@@ -149,7 +149,6 @@ def test_trajectory_source_contents():
     times = np.linspace(0.0, 0.4, 9)
     state, nonl, seconds = fullsolve.trajectory_source(spec, times, "imex")
     assert seconds >= 0.0
-    assert state.kind == "state" and nonl.kind == "nonlinearity"
     assert len(state.states) == 9
     assert np.allclose(state.matrix(0), spec.U0)
     assert np.allclose(nonl.matrix(4),
@@ -337,15 +336,6 @@ def test_factored_run_matches_dense_route(name, scheme):
         assert len(trip.S) <= FACTORED_N // 4
         assert np.allclose(trip.U.T @ trip.U, np.eye(len(trip.S)), atol=1e-12)
         assert np.allclose(trip.V.T @ trip.V, np.eye(len(trip.S)), atol=1e-12)
-
-
-def test_factored_snapshots_persist_as_dense_matrices(tmp_path):
-    _, times, (state, nonl, _), _ = _both_routes("ac1", "imex")
-    for traj in (state, nonl):
-        persist.write_snapshots(tmp_path / "snap.bin", traj)
-        back = persist.read_snapshots(tmp_path / "snap.bin")
-        assert np.array_equal(back.times, times)
-        assert all(np.array_equal(back.matrix(i), traj.matrix(i)) for i in range(len(times)))
 
 
 @ROUTE_CASES

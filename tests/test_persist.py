@@ -7,13 +7,6 @@ import pytest
 import oracles
 from mor2 import deim, persist, pod
 from mor2.errors import FormatError
-from mor2.fullsolve import Trajectory
-
-
-def sample_stream(rng, kind="state", count=4, rows=5, cols=3):
-    times = np.linspace(0.0, 1.0, count)
-    mats = [rng.standard_normal((rows, cols)) for _ in range(count)]
-    return Trajectory(times, mats, kind)
 
 
 def sample_basis(rng, n=7, m=6, k1=3, k2=2, symmetric=False):
@@ -24,88 +17,6 @@ def sample_basis(rng, n=7, m=6, k1=3, k2=2, symmetric=False):
     W = oracles.random_orthonormal(rng, m, k2)
     return pod.BasisPair(V, W, np.arange(k1, 0, -1.0), np.arange(k2, 0, -1.0),
                          1e-4, 12, 30)
-
-
-# ----------------------------------------------------------------- snapshots
-
-@pytest.mark.parametrize("kind", ["state", "nonlinearity", "reduced-state"])
-def test_snapshot_round_trip(tmp_path, kind):
-    rng = np.random.default_rng(150)
-    stream = sample_stream(rng, kind=kind)
-    path = tmp_path / "snap.bin"
-    persist.write_snapshots(path, stream)
-    back = persist.read_snapshots(path)
-    assert back.kind == kind
-    assert np.array_equal(back.times, stream.times)
-    assert len(back.states) == len(stream.states)
-    for M, N in zip(stream.states, back.states):
-        assert M.dtype == np.float64 and np.array_equal(M, N)
-
-
-def test_snapshot_rewrite_is_bit_identical(tmp_path):
-    rng = np.random.default_rng(151)
-    stream = sample_stream(rng)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    persist.write_snapshots(p1, stream)
-    persist.write_snapshots(p2, persist.read_snapshots(p1))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_snapshot_write_rejects_unknown_kind(tmp_path):
-    rng = np.random.default_rng(152)
-    stream = sample_stream(rng, kind="residual")
-    with pytest.raises(FormatError):
-        persist.write_snapshots(tmp_path / "x.bin", stream)
-
-
-def test_snapshot_write_rejects_empty_stream(tmp_path):
-    with pytest.raises(FormatError):
-        persist.write_snapshots(tmp_path / "x.bin",
-                                Trajectory(np.array([]), []))
-
-
-def test_snapshot_write_rejects_ragged_shapes(tmp_path):
-    rng = np.random.default_rng(153)
-    stream = Trajectory(np.array([0.0, 1.0]),
-                        [rng.standard_normal((3, 3)), rng.standard_normal((3, 4))])
-    with pytest.raises(FormatError):
-        persist.write_snapshots(tmp_path / "x.bin", stream)
-
-
-def test_snapshot_read_rejects_bad_magic(tmp_path):
-    path = tmp_path / "x.bin"
-    path.write_bytes(b"NOTASNAP" + b"\x00" * 32)
-    with pytest.raises(FormatError):
-        persist.read_snapshots(path)
-
-
-def test_snapshot_read_rejects_bad_version(tmp_path):
-    rng = np.random.default_rng(154)
-    path = tmp_path / "x.bin"
-    persist.write_snapshots(path, sample_stream(rng))
-    raw = bytearray(path.read_bytes())
-    raw[8:10] = (99).to_bytes(2, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        persist.read_snapshots(path)
-
-
-def test_snapshot_read_rejects_truncation(tmp_path):
-    rng = np.random.default_rng(155)
-    path = tmp_path / "x.bin"
-    persist.write_snapshots(path, sample_stream(rng))
-    path.write_bytes(path.read_bytes()[:-4])
-    with pytest.raises(FormatError):
-        persist.read_snapshots(path)
-
-
-def test_snapshot_read_rejects_trailing_bytes(tmp_path):
-    rng = np.random.default_rng(156)
-    path = tmp_path / "x.bin"
-    persist.write_snapshots(path, sample_stream(rng))
-    path.write_bytes(path.read_bytes() + b"x")
-    with pytest.raises(FormatError):
-        persist.read_snapshots(path)
 
 
 # --------------------------------------------------------------------- bases
@@ -256,18 +167,11 @@ def _basis_header(rows, cols):
     return struct.pack("<7sHII", persist.BASIS_MAGIC, persist.VERSION, rows, cols)
 
 
-def _snapshot_header(rows, cols, count=1):
-    return struct.pack("<8sHBIII", persist.SNAP_MAGIC, persist.VERSION, 0, rows, cols, count)
-
-
 @pytest.mark.parametrize("rows, cols", [
     (2**32 - 1, 2**32 - 1),     # 8 rows cols bytes overflow a C ssize_t
     (40000, 40000),             # 12.8 GB, more than the address space may hold
 ])
-@pytest.mark.parametrize("header, read", [
-    (_basis_header, persist.read_basis),
-    (_snapshot_header, persist.read_snapshots),
-])
+@pytest.mark.parametrize("header, read", [(_basis_header, persist.read_basis)])
 def test_oversized_header_is_a_format_error_without_allocating(tmp_path, rows, cols,
                                                                header, read):
     path = tmp_path / "x.bin"

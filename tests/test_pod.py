@@ -480,6 +480,29 @@ def test_vector_pod_proportional_stream():
     assert basis.k == 1
 
 
+def test_vector_pod_zero_seed_recovers():
+    rng = np.random.default_rng(104)
+    X = np.outer(rng.standard_normal(5), rng.standard_normal(5))
+    mats = [X] * 12
+    mats[0] = mats[4] = np.zeros((5, 5))
+    source = source_from(mats)
+    basis, report = pod.vector_pod(source, 1e-3, 1e-3)
+    # phase 0 scores nodes 4 and 8: the zero one scores 0, the first
+    # nonzero one scores 1 against the empty basis and joins
+    assert np.array_equal(report.evaluated_times, source.times[[4, 8]])
+    assert np.array_equal(report.per_time_error, [0.0, 1.0])
+    assert np.array_equal(report.included_times, source.times[[8]])
+    assert basis.k == 1
+    x = X.ravel(order="F")
+    assert np.linalg.norm(x - basis.V @ (basis.V.T @ x)) <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_vector_pod_refuses_an_all_zero_stream(adaptive):
+    with pytest.raises(DimensionError, match="never saw a nonzero snapshot"):
+        pod.vector_pod(source_from([np.zeros((4, 4))] * 8), 1e-3, 1e-3, adaptive=adaptive)
+
+
 def test_vector_pod_memory_guard():
     X = np.ones((520, 3))
     with pytest.raises(MemoryGuardError):

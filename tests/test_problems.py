@@ -22,6 +22,8 @@ def test_grid_periodic_drops_right_endpoint():
 def test_grid_unknown_bc():
     with pytest.raises(ConfigError):
         problems.grid_1d(4, "robin")
+    with pytest.raises(ConfigError, match="robin"):
+        problems.build_laplacian_1d(8, "robin")
 
 
 # -------------------------------------------------------------------- operators

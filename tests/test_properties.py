@@ -1,5 +1,5 @@
 """Property tests (hypothesis) for the folded maps, the range finder, the
-column pivots, phi1 and the binary containers.  Examples are bounded and
+column pivots, phi1 and the basis container.  Examples are bounded and
 derandomized, so a run is repeatable and stays a few seconds long."""
 
 from unittest import mock
@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from mor2 import deim, kernels, persist, pod
 from mor2.errors import FormatError
-from mor2.fullsolve import Trajectory
 
 
 def bounded(max_examples):
@@ -179,15 +178,6 @@ def test_phi1_complex_branch_is_continuous_across_its_series_switch(angle, radiu
 # ---------------------------------------------------------------- persistence
 
 @st.composite
-def snapshot_streams(draw):
-    rows, cols, count = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    times = np.cumsum(rng.uniform(0.1, 1.0, count))
-    kind = draw(st.sampled_from(["state", "nonlinearity", "reduced-state"]))
-    return Trajectory(times, [rng.standard_normal((rows, cols)) for _ in range(count)], kind)
-
-
-@st.composite
 def bases(draw):
     n, m = draw(st.integers(2, 9)), draw(st.integers(2, 9))
     k1, k2 = draw(st.integers(1, n)), draw(st.integers(1, m))
@@ -201,19 +191,6 @@ def bases(draw):
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "file.bin"
-
-
-@bounded(40)
-@given(stream=snapshot_streams(), cut=st.floats(0.0, 1.0, exclude_max=True))
-def test_snapshot_round_trip_and_truncation(scratch, stream, cut):
-    persist.write_snapshots(scratch, stream)
-    raw = scratch.read_bytes()
-    back = persist.read_snapshots(scratch)
-    assert back.kind == stream.kind and np.array_equal(back.times, stream.times)
-    assert all(np.array_equal(a, b) for a, b in zip(back.states, stream.states))
-    scratch.write_bytes(raw[:int(cut * len(raw))])
-    with pytest.raises(FormatError):
-        persist.read_snapshots(scratch)
 
 
 @bounded(40)

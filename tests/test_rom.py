@@ -198,7 +198,7 @@ def rom_and_matching_ref(rng, n_t=6):
                            np.ones(3), np.ones(3), 1e-3, 4, 3)
     times = np.linspace(0.0, 1.0, n_t + 1)
     states = [rng.standard_normal((3, 3)) for _ in times]
-    romtraj = fullsolve.Trajectory(times, states, "reduced-state")
+    romtraj = fullsolve.Trajectory(times, states)
     ref = fullsolve.Trajectory(times.copy(), [rom.lift(ubasis, Y) for Y in states])
     return ubasis, romtraj, ref
 
@@ -327,8 +327,7 @@ def test_average_error_vector_identical_zero():
     # the lift may map any reduced representation, here vectorized states
     rng = np.random.default_rng(148)
     grid = fullsolve.TimeGrid(0.5, 5)
-    traj = fullsolve.Trajectory(grid.nodes, [rng.standard_normal(9) for _ in grid.nodes],
-                                "reduced-state")
+    traj = fullsolve.Trajectory(grid.nodes, [rng.standard_normal(9) for _ in grid.nodes])
 
     def lift(y):
         return y.reshape((3, 3), order="F")
