@@ -10,10 +10,11 @@ Two first-order schemes are provided for  Udot = A U + U B + F(U, t):
 Both step through one kernels.Propagator built for the run: the state is
 kept in eigen-coordinates of A and B, so a dense step costs four n x n
 multiplications (F mapped in, the state mapped out) plus a Hadamard update.
-Above kernels.DENSE_SVD_MAX, in real coordinates, the snapshot run and the
-reference solve (iter_full) keep the state and F as certified low-rank
-factors instead, with n x r maps and the step applied as the coordinate
-matrix is formed; they step densely where a compression is not certified.
+Above kernels.DENSE_SVD_MAX, in real coordinates, the state and F are kept
+as certified low-rank factors instead, with n x r maps and the step applied
+as the coordinate matrix is formed.  The snapshot run and the reference
+solve (iter_full) share one stepping loop, _steps, which goes on densely
+from the first compression that is not certified.
 A pair of even-size centrosymmetric operators (J A J = A, as the Dirichlet
 and periodic Laplacians are) with real eigenbases in their halves is folded:
 each eigenproblem splits into two half-size ones, and each multiplication
@@ -92,18 +93,51 @@ class AnalyticSource:
     snapshot = matrix
 
 
-def _march(prop, spec, times, h, U, first=0, f_at_last=False):
-    """Step through the time nodes from node first, whose state is U, yielding
-    (index, time, state, F at the state) for that node and every later one.
+def _steps(spec, times, h, scheme, f_at_last=False):
+    """Step U0 through the time nodes, every step of size h, and yield
+    (index, time, U, factors, F) for each node once, before the step that
+    leaves it.  U is one matrix, overwritten by every step.
 
-    The Propagator prop serves the whole run, and every step has size h.
     F is evaluated once per node, for the step that leaves it, and at the
-    last node only when f_at_last asks for it (None there otherwise).  The
-    state is U itself, overwritten by every step, so a step allocates only
-    F, in the memory the previous F leaves.
+    last node only when f_at_last asks for it (None there otherwise).  On
+    the factored route factors is (L, R) with U = L R^T (None at node 0)
+    and F an SvdTriplet; a step maps F's factors in, forms the stepped
+    coordinate matrix (advance_factors), compresses it warm-started from
+    the last one's row space (F from the last F's) and maps its factors
+    out.  From the first compression that kernels.compress does not
+    certify (a rank-heavy state, or a non-finite F or step, which the dense
+    step then reports) the run steps densely from the state in U,
+    re-evaluating F there: factors is None and F a matrix, allocated in the
+    memory the previous F leaves.
     """
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    U = np.array(spec.U0, dtype=float)
+    last, first, done = len(times) - 1, 0, -1   # first: the node in U; done: the last yielded
+    real = not any(map(np.iscomplexobj, (prop.Qa, prop.Qa_inv, prop.Qb, prop.Qb_inv)))
+    trip = kernels.compress(U) if real and min(U.shape) > kernels.DENSE_SVD_MAX else None
+    if trip is not None:
+        Lc, Rc = prop.map_factors(trip.U * trip.S, trip.V)
+        factors, start_u, start_f = None, None, None
+        for first, t in enumerate(times):
+            if first > 0:
+                factors = prop.map_factors(Lc, Rc, out=True)
+                np.matmul(factors[0], factors[1].T, out=U)
+            f_due = first < last or f_at_last
+            ftrip = (kernels.compress(problems.eval_nonlinear(spec, U, t), start_f)
+                     if f_due else None)
+            if f_due and ftrip is None:
+                break
+            yield first, t, U, factors, ftrip
+            done = first
+            if first == last:
+                return
+            Fc = prop.map_factors(ftrip.U * ftrip.S, ftrip.V)
+            trip = kernels.compress(prop.advance_factors(Lc, Rc, *Fc, h), start_u)
+            if trip is None:
+                break
+            start_f, start_u = ftrip.V, trip.V
+            Lc, Rc = trip.U * trip.S, trip.V
     Uhat = prop.to_coords(U)
-    last = len(times) - 1
     for i in range(first, last + 1):
         t = times[i]
         if i > first:
@@ -114,71 +148,23 @@ def _march(prop, spec, times, h, U, first=0, f_at_last=False):
                     f"non-finite state after step {i} (t = {t:.6g})", step=i
                 )
         F = problems.eval_nonlinear(spec, U, t) if i < last or f_at_last else None
-        yield i, t, U, F
-
-
-def _factored_steps(prop, spec, times, h, U, f_at_last=False):
-    """Step through the time nodes with every state and F kept as low-rank factors.
-
-    U, the state at node 0, is overwritten by the state L R^T at every later
-    node.  Yields (index, time, (L, R) or None at node 0, F as SvdTriplet
-    factors: None at the last node unless f_at_last, and None where F is
-    not certified).  It yields nothing, or stops early, when the run cannot
-    stay factored: complex coordinates, a matrix not above DENSE_SVD_MAX, or
-    a compression kernels.compress cannot certify (a rank-heavy state, or a
-    non-finite F or step, which the dense route then reports).  A step maps
-    F's factors in, forms the stepped coordinate matrix (advance_factors),
-    compresses it warm-started from the last one's row space (F from the
-    last F's) and maps its factors out.
-    """
-    bases = (prop.Qa, prop.Qa_inv, prop.Qb, prop.Qb_inv)
-    if min(U.shape) <= kernels.DENSE_SVD_MAX or any(np.iscomplexobj(Q) for Q in bases):
-        return
-    trip = kernels.compress(U)
-    if trip is None:
-        return
-    Lc, Rc = prop.map_factors(trip.U * trip.S, trip.V)
-    factors, start_u, start_f = None, None, None
-    for i, t in enumerate(times):
-        if i > 0:
-            factors = prop.map_factors(Lc, Rc, out=True)
-            np.matmul(factors[0], factors[1].T, out=U)
-        last = i == len(times) - 1
-        ftrip = None if last and not f_at_last else kernels.compress(
-            problems.eval_nonlinear(spec, U, t), start_f)
-        yield i, t, factors, ftrip
-        if last or ftrip is None:
-            return
-        M = prop.advance_factors(Lc, Rc, *prop.map_factors(ftrip.U * ftrip.S, ftrip.V), h)
-        trip = kernels.compress(M, start_u)
-        if trip is None:
-            return
-        start_f, start_u = ftrip.V, trip.V
-        Lc, Rc = trip.U * trip.S, trip.V
+        if i > done:
+            yield i, t, U, None, F
 
 
 def iter_full(spec, grid, scheme="imex"):
     """Yield (index, time, state) along the grid without storing the run.
 
     Above kernels.DENSE_SVD_MAX, in real coordinates, it steps as certified
-    low-rank factors (_factored_steps) formed straight into the yielded
-    matrix, within about 2e-13 relative of dense steps; from a compression
-    that is not certified on, it steps densely from the last state yielded.
-    Memory does not grow with the grid.  The yielded state is one matrix,
-    overwritten by the next step; copy it to keep it.
+    low-rank factors (_steps) formed straight into the yielded matrix,
+    within about 2e-13 relative of dense steps, and densely from a
+    compression that is not certified on.  Memory does not grow with the
+    grid.  The yielded state is one matrix, overwritten by the next step;
+    copy it to keep it.
     """
-    prop = kernels.Propagator(spec.A, spec.B, scheme)
-    nodes = grid.nodes
-    U = np.array(spec.U0, dtype=float)
-    done = -1
-    for done, t, _, _ in _factored_steps(prop, spec, nodes, grid.h, U):
-        yield done, t, U
-    if done == grid.n_t:
-        return
-    for i, t, U, F in _march(prop, spec, nodes, grid.h, U, max(done, 0)):
+    for i, t, U, _, F in _steps(spec, grid.nodes, grid.h, scheme):
         del F  # the next F then reuses its memory
-        if i > done:
-            yield i, t, U
+        yield i, t, U
 
 
 def trajectory_source(spec, times, scheme="imex"):
@@ -187,9 +173,9 @@ def trajectory_source(spec, times, scheme="imex"):
     The nodes are the integration grid and must be equispaced: every step
     has size h = (times[-1] - times[0]) / (len(times) - 1), within 1e-9 h of
     each spacing.  Above kernels.DENSE_SVD_MAX, in real coordinates, the run
-    keeps its snapshots as low-rank factors (_factored_steps); otherwise, or
-    when a compression is not certified, it runs dense from node 0 and
-    keeps every snapshot as a matrix.  Returns (states, nonlinearities, seconds).
+    keeps its snapshots as low-rank factors (_steps); otherwise, and from a
+    compression that is not certified on, it keeps them as matrices.
+    Returns (states, nonlinearities, seconds).
     """
     times = np.asarray(times, dtype=float)
     m = len(times) if times.ndim == 1 else 0
@@ -197,13 +183,8 @@ def trajectory_source(spec, times, scheme="imex"):
     if m < 1 or not np.all(np.abs(np.diff(times) - h) < 1e-9 * h):
         raise DimensionError("times must be strictly increasing and equispaced")
     tic = time.perf_counter()
-    prop = kernels.Propagator(spec.A, spec.B, scheme)
-    U = np.array(spec.U0, dtype=float)
     run = [(U.copy() if LR is None else kernels.factored_svd(*LR), F)
-           for _, _, LR, F in _factored_steps(prop, spec, times, h, U, f_at_last=True)]
-    if len(run) < m or run[-1][1] is None:
-        U = np.array(spec.U0, dtype=float)
-        run = [(U.copy(), F) for _, _, U, F in _march(prop, spec, times, h, U, f_at_last=True)]
+           for _, _, U, LR, F in _steps(spec, times, h, scheme, f_at_last=True)]
     states, nonls = map(list, zip(*run))
     return (Trajectory(times, states), Trajectory(times, nonls),
             time.perf_counter() - tic)

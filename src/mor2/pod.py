@@ -306,8 +306,8 @@ def _phased_selection(times, m, tol, score, include):
     Node 0 seeds the bases unscored.  Every later node of the three phases
     is scored and included when its score exceeds tol, then rescored
     against the refreshed bases, so the stop test (phase mean of scores
-    <= tol) sees residuals, not the triggering errors.  Returns a
-    SelectionReport without method, storage or timing.
+    <= tol, once a node has joined) sees residuals, not the triggering
+    errors.  Returns a SelectionReport without method, storage or timing.
     """
     included = [times[0]] if include(0) else []
     evaluated, errors, phase_means = [], [], []
@@ -324,7 +324,7 @@ def _phased_selection(times, m, tol, score, include):
                 e = score(i)
             errs.append(e)
         phase_means.append(float(np.sum(errs) / len(idx)))
-        if phase_means[-1] <= tol:
+        if phase_means[-1] <= tol and included:
             break
     return SelectionReport(
         method="", phases_used=len(phase_means),

@@ -370,19 +370,32 @@ def _short_rdc_run():
 
 # compressions in order: U0, F0, the first step (cold), F1 and the second step (warm)
 @pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
-def test_uncertified_compression_reruns_the_dense_route(monkeypatch, fail_at):
+def test_uncertified_compression_continues_the_snapshot_run_densely(monkeypatch, fail_at):
     spec, times, (dstate, dnonl, _) = _short_rdc_run()
-    compress, calls = kernels.compress, []
+    factored = (0, 0, 1, 1, 2)[fail_at - 1]     # nodes yielded before the failure
+    compress, calls, evaluate, evals = kernels.compress, [], problems.eval_nonlinear, []
 
     def failing(M, start=None):
         calls.append(start is not None)
         return None if len(calls) == fail_at else compress(M, start)
 
+    def counting(*args):
+        evals.append(args[2])
+        return evaluate(*args)
+
     monkeypatch.setattr(kernels, "compress", failing)
+    monkeypatch.setattr(problems, "eval_nonlinear", counting)
     state, nonl, _ = fullsolve.trajectory_source(spec, times, "etd")
     assert calls == [False, False, False, True, True][:fail_at]
-    for got, want in zip(state.states + nonl.states, dstate.states + dnonl.states):
-        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    assert len(evals) <= len(times) + 1         # no node is stepped twice
+    for i in range(len(times)):
+        assert isinstance(state.snapshot(i), kernels.SvdTriplet) == (0 < i < factored)
+        assert isinstance(nonl.snapshot(i), kernels.SvdTriplet) == (i < factored)
+        for got, want in ((state, dstate), (nonl, dnonl)):
+            M, W = got.matrix(i), want.matrix(i)
+            assert np.linalg.norm(M - W) <= 1e-12 * np.linalg.norm(W)
+        if fail_at <= 3:                        # dense from node 0
+            assert np.array_equal(state.matrix(i), dstate.matrix(i))
 
 
 def _large_bidiagonal_spec(sub):

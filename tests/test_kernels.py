@@ -65,6 +65,8 @@ def test_truncated_svd_errors():
         kernels.truncated_svd(np.eye(3), 0)
     with pytest.raises(DimensionError):
         kernels.truncated_svd(np.eye(3), 4)
+    with pytest.raises(DimensionError):
+        kernels.compress(np.ones(4))
     bad = np.eye(3)
     bad[1, 1] = np.nan
     with pytest.raises(InputError):
@@ -250,6 +252,8 @@ def test_sym_eig_residual():
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(StructureError):
         kernels.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DimensionError):
+        kernels.sym_eig(np.ones((2, 3)))
 
 
 def test_general_eig_triangular():
@@ -278,6 +282,8 @@ def test_general_eig_residual_and_inverse():
 def test_general_eig_defective_raises():
     with pytest.raises(ConditioningError):
         kernels.general_eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionError):
+        kernels.general_eig(np.ones((2, 3)))
 
 
 def test_eig_pair_dispatch():

@@ -393,6 +393,24 @@ def test_dynamic_pod_zero_seed_recovers():
     assert pod.projection_error(X, basis) <= 1e-10
 
 
+@pytest.mark.parametrize("method", ["dynamic", "vector"])
+def test_selection_goes_on_past_an_all_zero_first_phase(method):
+    # phase 0 scores only node 4, which is zero like the seed: its mean
+    # meets tol before anything has joined, and the sweep must not stop there
+    rng = np.random.default_rng(105)
+    X = np.outer(rng.standard_normal(6), rng.standard_normal(6))
+    source = source_from([np.zeros((6, 6))] * 5 + [X] * 3)
+    if method == "dynamic":
+        basis, report = pod.dynamic_pod(source, 1e-3, 8, 1e-3)
+        assert pod.projection_error(X, basis) <= 1e-10
+    else:
+        basis, report = pod.vector_pod(source, 1e-3, 1e-3)
+        x = X.ravel(order="F")
+        assert np.linalg.norm(x - basis.V @ (basis.V.T @ x)) <= 1e-10 * np.linalg.norm(x)
+    assert len(report.included_times) >= 1
+    assert set(report.included_times) <= set(source.times[5:])
+
+
 def test_dynamic_pod_on_small_diffusion_problem():
     spec = problems.build_problem("ac1", 16)
     times = pod.candidate_times(spec.t_final, 20)
