@@ -57,7 +57,6 @@ class RunConfig:
     methods: tuple = ("dynamic",)
     override_memory_guard: bool = False
     norm: str = "fro"
-    detect_symmetry: bool = False
     eps1: float = None
     eps2: float = None
     test_times: int = 300
@@ -195,8 +194,7 @@ def _build_spec(cfg):
 
 
 def _config_fingerprint(cfg):
-    keys = ("problem", "n", "n_max", "kappa", "tau", "tol", "norm",
-            "detect_symmetry", "eps1", "eps2")
+    keys = ("problem", "n", "n_max", "kappa", "tau", "tol", "norm", "eps1", "eps2")
     blob = json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -228,8 +226,7 @@ def cmd_funcapprox(cfg, out):
         tic = time.perf_counter()
         if method == "dynamic":
             basis, rep = pod.dynamic_pod(source, cfg.tol, cfg.kappa, cfg.tau,
-                                         norm=cfg.norm,
-                                         detect_symmetry=cfg.detect_symmetry)
+                                         norm=cfg.norm)
         elif method == "vanilla":
             basis, rep = pod.vanilla_pod(source, cfg.kappa, cfg.tau)
         else:
@@ -267,10 +264,8 @@ def cmd_funcapprox(cfg, out):
 def cmd_reduce(cfg, out):
     spec = _build_spec(cfg)
     state_src, nonl_src, snap_seconds = _snapshots(cfg, spec)
-    ubasis, urep = pod.dynamic_pod(state_src, cfg.tol, cfg.kappa, cfg.tau,
-                                   norm=cfg.norm, detect_symmetry=cfg.detect_symmetry)
-    fbasis, frep = pod.dynamic_pod(nonl_src, cfg.tol, cfg.kappa, cfg.tau,
-                                   norm=cfg.norm, detect_symmetry=cfg.detect_symmetry)
+    ubasis, urep = pod.dynamic_pod(state_src, cfg.tol, cfg.kappa, cfg.tau, norm=cfg.norm)
+    fbasis, frep = pod.dynamic_pod(nonl_src, cfg.tol, cfg.kappa, cfg.tau, norm=cfg.norm)
     tic = time.perf_counter()
     op = deim.build_deim(fbasis)
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
@@ -388,7 +383,8 @@ def cmd_solve(cfg, out):
     if per_node:
         _write_csv(out / "error_vs_time.csv", cfg, ["time", "rel_error"],
                    [[t, e] for t, e in per_node])
-    rom.export_trajectory_csv(out / "reduced_trajectory.csv", traj)
+    _write_csv(out / "reduced_trajectory.csv", cfg, ["time", "frobenius_norm"],
+               [[t, np.linalg.norm(Y)] for t, Y in traj])
     msg = f"solve: {grid.n_t} steps in {online_seconds:.4f}s"
     if mean_err is not None:
         msg += f", mean relative error {mean_err:.3e}"

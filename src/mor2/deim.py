@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels, problems
-from .errors import RankError
+from .errors import DimensionError, RankError
 
 
 def qdeim_bound(n, p):
@@ -59,8 +59,9 @@ class DeimOperator:
 def build_deim(fbasis):
     """Select interpolation rows/columns for a basis pair via pivoted QR.
 
-    When the basis pair is flagged symmetric the column set reuses the row
-    set, preserving symmetry of the interpolant for symmetric inputs.
+    When pod.prune marked the pair symmetric (every snapshot symmetric, equal
+    widths) the column set reuses the row set, so the interpolant of a
+    symmetric F stays symmetric.  This is the only reader of the mark.
     """
     row_idx = kernels.pivoted_qr_indices(fbasis.Vl.T)
     if fbasis.symmetric:
@@ -71,8 +72,11 @@ def build_deim(fbasis):
 
 
 def deim_operator(Vl, Wr, row_idx, col_idx):
-    """The DeimOperator of a basis pair (Vl, Wr) at the given indices:
+    """The DeimOperator of a basis pair (Vl, Wr) at one index per basis column:
     Pl^T Vl and Wr^T Pr, their LU factors and amplification constants."""
+    if len(row_idx) != Vl.shape[1] or len(col_idx) != Wr.shape[1]:
+        raise DimensionError(f"{len(row_idx)} x {len(col_idx)} interpolation points for "
+                             f"bases of width {Vl.shape[1]} and {Wr.shape[1]}")
     left = Vl[row_idx, :]
     right = Wr[col_idx, :].T
     lu_left = _lu_or_raise(left, "row")

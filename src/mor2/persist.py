@@ -77,8 +77,8 @@ def write_basis(path, basis, op=None):
 def read_basis(path):
     """Load a BasisPair and, when present, its interpolation operator.
 
-    The symmetric mark is not serialized; it is re-derived from the trailer
-    (identical row and column index sets) when one exists.  A trailer whose
+    The symmetric mark is not stored, so the loaded pair is unmarked; the
+    stored trailer carries the interpolation points.  A trailer whose
     point counts differ from the basis widths, whose indices are out of
     range or repeated, or whose stored Pl^T Vl or Wr^T Pr differs from the
     rows of the stored basis, is a FormatError.
@@ -121,11 +121,4 @@ def read_basis(path):
                 raise FormatError("interpolation selection matrices differ from "
                                   "the basis rows at their indices")
             op = deim_operator(Vl, Wr, row_idx, col_idx)
-    symmetric = bool(
-        op is not None
-        and len(op.row_idx) == len(op.col_idx)
-        and np.array_equal(op.row_idx, op.col_idx)
-        and Vl.shape == Wr.shape
-    )
-    basis = BasisPair(Vl, Wr, sl, sr, tau, n_max, kappa, symmetric=symmetric)
-    return basis, op
+    return BasisPair(Vl, Wr, sl, sr, tau, n_max, kappa), op

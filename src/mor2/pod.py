@@ -228,12 +228,14 @@ def retained_count(s, tau, n_max):
     return max(1, int(ok[0]))
 
 
-def prune(acc, tau, n_max, detect_symmetry=False):
+def prune(acc, tau, n_max):
     """Distill the accumulator into orthonormal bases via two weighted SVDs.
 
     The scaled factors Vt*sqrt(St) and sqrt(St)*Wh^T are decomposed
     separately and each side keeps the smallest leading block whose
     discarded tail is below tau/sqrt(n_max) in relative Frobenius norm.
+    The pair is marked symmetric when every accumulated snapshot was
+    symmetric and both sides keep the same width.
     """
     if acc.is_empty:
         raise DimensionError("cannot prune an empty accumulator")
@@ -249,14 +251,10 @@ def prune(acc, tau, n_max, detect_symmetry=False):
     nu_r = retained_count(sr, tau, n_max)
     Vl = _sign_normalize(Ul[:, :nu_l].copy())
     Wr = _sign_normalize(Vrh[:nu_r].T.copy())
-    symmetric = bool(
-        detect_symmetry
-        and acc.symmetric_stream
-        and acc.Vt.shape[0] == acc.Wh.shape[0]
-    )
     return BasisPair(
         Vl=Vl, Wr=Wr, singvals_l=sl[:nu_l].copy(), singvals_r=sr[:nu_r].copy(),
-        tau=tau, n_max=n_max, kappa=acc.kappa, symmetric=symmetric,
+        tau=tau, n_max=n_max, kappa=acc.kappa,
+        symmetric=bool(acc.symmetric_stream and nu_l == nu_r),
     )
 
 
@@ -335,7 +333,7 @@ def _phased_selection(times, m, tol, score, include):
     )
 
 
-def dynamic_pod(source, tol, kappa, tau, norm="fro", detect_symmetry=False):
+def dynamic_pod(source, tol, kappa, tau, norm="fro"):
     """Phased adaptive selection plus pruning; the main offline routine.
 
     Walks the candidate nodes of `source` in three phases.  The first
@@ -349,8 +347,8 @@ def dynamic_pod(source, tol, kappa, tau, norm="fro", detect_symmetry=False):
     enriches the bases at the same rate it tightens the test.  The sweep
     itself is _phased_selection.  Snapshots are read with
     source.snapshot(i), so those a factored snapshot run keeps as factors
-    are scored and accumulated as factors.  Returns (BasisPair,
-    SelectionReport).
+    are scored and accumulated as factors; prune sets the symmetric mark.
+    Returns (BasisPair, SelectionReport).
     """
     times = np.asarray(source.times, dtype=float)
     m = effective_n_max(len(times))
@@ -375,7 +373,7 @@ def dynamic_pod(source, tol, kappa, tau, norm="fro", detect_symmetry=False):
         return True
 
     report = _phased_selection(times, m, tol, score, include)
-    basis = prune(acc, tau, m, detect_symmetry=detect_symmetry)
+    basis = prune(acc, tau, m)
     return basis, replace(report, method="dynamic", peak_storage_floats=peak,
                           seconds=time.perf_counter() - tic)
 
@@ -438,7 +436,7 @@ def vanilla_pod(source, kappa, tau):
     basis = BasisPair(
         Vl=Vl[:, :nu_l].copy(), Wr=Wr[:, :nu_r].copy(),
         singvals_l=sl[:nu_l].copy(), singvals_r=sr[:nu_r].copy(),
-        tau=tau, n_max=m, kappa=kappa, symmetric=False,
+        tau=tau, n_max=m, kappa=kappa,
     )
     report = SelectionReport(
         method="vanilla", phases_used=0,

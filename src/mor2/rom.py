@@ -8,7 +8,6 @@ interpolation factors: a step is four small products, the sampled F and two
 Hadamard products, so its cost depends on the reduced dimensions only.
 """
 
-import csv
 import time
 from dataclasses import dataclass
 
@@ -135,11 +134,3 @@ def relative_errors(reference, romtraj, lift):
         raise DimensionError("reference and reduced trajectories share no usable nodes")
     return total / len(per_node), per_node
 
-
-def export_trajectory_csv(path, romtraj):
-    """Write per-node reduced norms to CSV; the rel_error column stays empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "frobenius_norm", "rel_error"])
-        for t, Y in romtraj:
-            writer.writerow([f"{t:.12e}", f"{np.linalg.norm(Y):.12e}", ""])

@@ -6,15 +6,13 @@ import pytest
 from mor2 import deim, fullsolve, kernels, pod, problems, rom
 
 
-def offline_pipeline(spec, n_max, kappa, tau, tol=None, detect_symmetry=False):
+def offline_pipeline(spec, n_max, kappa, tau, tol=None):
     """Snapshots -> dynamic bases for both streams -> interpolation factors."""
     times = pod.candidate_times(spec.t_final, n_max)
     state_src, nonl_src, _ = fullsolve.trajectory_source(spec, times, "imex")
     tol = tau if tol is None else tol
-    ubasis, urep = pod.dynamic_pod(state_src, tol, kappa, tau,
-                                   detect_symmetry=detect_symmetry)
-    fbasis, frep = pod.dynamic_pod(nonl_src, tol, kappa, tau,
-                                   detect_symmetry=detect_symmetry)
+    ubasis, urep = pod.dynamic_pod(state_src, tol, kappa, tau)
+    fbasis, frep = pod.dynamic_pod(nonl_src, tol, kappa, tau)
     op = deim.build_deim(fbasis)
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
     return {
@@ -34,6 +32,12 @@ def ac1_64():
 def rdc_64():
     spec = problems.build_problem("rdc", 64, eps1=0.05)
     return offline_pipeline(spec, n_max=60, kappa=50, tau=1e-3)
+
+
+@pytest.fixture(scope="session")
+def ac2_64():
+    spec = problems.build_problem("ac2", 64)
+    return offline_pipeline(spec, n_max=40, kappa=50, tau=1e-3)
 
 
 def identity_basis(n, tau=1e-3, n_max=4, kappa=None):

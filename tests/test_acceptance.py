@@ -241,10 +241,8 @@ def test_criterion_07_symmetric_stream_preserves_structure():
     times = np.linspace(0.0, 1.0, 12)
     smats = [state_at(t) for t in times]
     fmats = [S - S**3 for S in smats]
-    ubasis, _ = pod.dynamic_pod(fullsolve.Trajectory(times, smats),
-                                1e-6, 20, 1e-6, detect_symmetry=True)
-    fbasis, _ = pod.dynamic_pod(fullsolve.Trajectory(times, fmats),
-                                1e-6, 20, 1e-6, detect_symmetry=True)
+    ubasis, _ = pod.dynamic_pod(fullsolve.Trajectory(times, smats), 1e-6, 20, 1e-6)
+    fbasis, _ = pod.dynamic_pod(fullsolve.Trajectory(times, fmats), 1e-6, 20, 1e-6)
     angle = 0.0
     for basis in (ubasis, fbasis):
         sv = np.linalg.svd(basis.Vl.T @ basis.Wr, compute_uv=False)

@@ -49,14 +49,14 @@ def test_load_config_file_with_overrides(tmp_path):
         "\n"
         "taus=1e-2,1e-3\n"
         "methods=dynamic,vector\n"
-        "detect_symmetry=yes\n"
+        "reference=no\n"
     )
     cfg = cli.load_config(path, ["n=48"])
     assert cfg.problem == "rdc"
     assert cfg.n == 48  # command line wins over the file
     assert cfg.taus == (1e-2, 1e-3)
     assert cfg.methods == ("dynamic", "vector")
-    assert cfg.detect_symmetry is True
+    assert cfg.reference is False
 
 
 @pytest.mark.parametrize("sets", [
@@ -89,6 +89,7 @@ def test_load_config_file_with_overrides(tmp_path):
     ["eps2=0"],             # degenerate problem settings: exit 2, not a traceback
     ["eps1=nan"],
     ["tol=-1"],
+    ["detect_symmetry=true"],   # removed: the symmetric mark comes from the snapshots
 ])
 def test_load_config_rejects(sets):
     with pytest.raises(ConfigError):
@@ -171,7 +172,7 @@ def test_reduce_reports_do_not_depend_on_the_output_directory(artifacts, tmp_pat
 def test_solve_runs_from_artifacts(artifacts):
     rc = cli.main(argv("solve", AC1_SETS + ["n_t=40"], artifacts))
     assert rc == 0
-    _, header, rows = read_report(artifacts / "solve_report.csv")
+    echo, header, rows = read_report(artifacts / "solve_report.csv")
     assert header[-1] == "mean_error" and len(rows) == 1
     assert float(rows[0][-1]) <= 1e-2
     # the per-node output is reduced_trajectory.csv; no snapshot stream is written
@@ -181,8 +182,9 @@ def test_solve_runs_from_artifacts(artifacts):
         "solve_report.csv", "u_basis.mor2bas"]
     _, _, err_rows = read_report(artifacts / "error_vs_time.csv")
     assert len(err_rows) == 40  # initial node carries no error
-    _, _, traj_rows = read_report(artifacts / "reduced_trajectory.csv")
-    assert len(traj_rows) == 41
+    traj_echo, traj_header, traj_rows = read_report(artifacts / "reduced_trajectory.csv")
+    assert traj_echo == echo and traj_header == ["time", "frobenius_norm"]
+    assert len(traj_rows) == 41 and all(len(r) == 2 for r in traj_rows)
     assert float(traj_rows[0][0]) == 0.0
     info = json.loads((artifacts / "run_info.json").read_text())
     assert info["command"] == "solve"

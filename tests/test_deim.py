@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import identity_basis, make_spec
+from conftest import identity_basis, make_spec, offline_pipeline
 from mor2 import deim, fullsolve, pod, problems
-from mor2.errors import RankError
+from mor2.errors import DimensionError, RankError
 
 
 def random_basis_pair(rng, n, k1, k2, symmetric=False):
@@ -47,12 +49,39 @@ def test_build_deim_canonical_basis():
     assert op.p1 == 3 and op.p2 == 3
 
 
-@pytest.mark.parametrize("pipeline", ["ac1_64", "rdc_64"])
+@pytest.mark.parametrize("pipeline", ["ac1_64", "rdc_64", "ac2_64"])
 def test_build_deim_points_on_benchmark_bases_match_the_greedy_oracle(pipeline, request):
     pipe = request.getfixturevalue(pipeline)
     fbasis, op = pipe["fbasis"], pipe["op"]
     assert np.array_equal(op.row_idx, oracles.greedy_pivot_oracle(fbasis.Vl.T))
-    assert np.array_equal(op.col_idx, oracles.greedy_pivot_oracle(fbasis.Wr.T))
+    cols = fbasis.Vl.T if fbasis.symmetric else fbasis.Wr.T
+    assert np.array_equal(op.col_idx, oracles.greedy_pivot_oracle(cols))
+
+
+def test_dynamic_pod_marks_symmetric_nonlinearity_streams(ac1_64, ac2_64):
+    # rdc as the command line builds it; the rdc_64 fixture's convection-
+    # dominated stream is symmetric only to about 6e-12, above STREAM_SYM_TOL
+    rdc = offline_pipeline(problems.build_problem("rdc", 64), n_max=40, kappa=50, tau=1e-3)
+    for pipe in (ac2_64, rdc):
+        assert pipe["fbasis"].symmetric
+        assert np.array_equal(pipe["op"].row_idx, pipe["op"].col_idx)
+    assert not ac1_64["fbasis"].symmetric
+
+
+def uneven_symmetric_stream_basis():
+    """A symmetric-stream accumulator whose sides prune to widths 4 and 2."""
+    V = oracles.random_orthonormal(np.random.default_rng(110), 8, 4)
+    acc = pod.TripletAccumulator(kappa=4, Vt=V, St=np.array([4.0, 3.0, 2.0, 1.0]),
+                                 Wh=V[:, [0, 1, 0, 1]], symmetric_stream=True)
+    return pod.prune(acc, 1e-3, 8)
+
+
+def test_build_deim_on_unequal_widths_selects_columns_from_the_right_basis():
+    basis = uneven_symmetric_stream_basis()
+    assert (basis.nu_l, basis.nu_r) == (4, 2)
+    assert not basis.symmetric
+    op = deim.build_deim(basis)
+    assert (op.p1, op.p2) == (4, 2)
 
 
 def test_build_deim_symmetric_reuses_rows():
@@ -61,7 +90,7 @@ def test_build_deim_symmetric_reuses_rows():
     S = S + S.T
     acc = pod.accumulate(pod.TripletAccumulator.empty(6), S)
     acc = pod.accumulate(acc, S @ S)
-    basis = pod.prune(acc, 1e-6, 8, detect_symmetry=True)
+    basis = pod.prune(acc, 1e-6, 8)
     assert basis.symmetric
     op = deim.build_deim(basis)
     assert np.array_equal(op.row_idx, op.col_idx)
@@ -81,6 +110,17 @@ def test_build_deim_selection_amplification():
 
 
 # ------------------------------------------------------------- deim_approximate
+
+def test_deim_operator_refuses_point_counts_off_the_basis_widths():
+    basis = uneven_symmetric_stream_basis()
+    rows = deim.build_deim(basis).row_idx
+    with pytest.raises(DimensionError, match="4 x 4 interpolation points"):
+        deim.deim_operator(basis.Vl, basis.Wr, rows, rows)
+    with pytest.raises(DimensionError):
+        deim.build_deim(replace(basis, symmetric=True))
+    with pytest.raises(DimensionError):
+        deim.deim_operator(basis.Vl, basis.Wr, rows[:3], rows[:2])
+
 
 @pytest.mark.parametrize("side", ["row", "column"])
 def test_deim_operator_refuses_a_singular_selection(side):

@@ -54,10 +54,10 @@ def test_basis_round_trip_with_operator(tmp_path):
     F = rng.standard_normal((9, 8))
     assert np.allclose(deim.deim_approximate(bop, back, F),
                        deim.deim_approximate(op, basis, F), atol=1e-13)
-    assert back.symmetric is False  # distinct index sets
+    assert back.symmetric is False
 
 
-def test_basis_symmetric_mark_rederived_from_trailer(tmp_path):
+def test_basis_symmetric_mark_is_not_stored(tmp_path):
     rng = np.random.default_rng(159)
     basis = sample_basis(rng, n=8, k1=3, symmetric=True)
     op = deim.build_deim(basis)
@@ -65,8 +65,9 @@ def test_basis_symmetric_mark_rederived_from_trailer(tmp_path):
     path = tmp_path / "basis.bin"
     persist.write_basis(path, basis, op)
     back, bop = persist.read_basis(path)
-    assert back.symmetric is True
-    # without the trailer there is nothing to rederive the mark from
+    # equal index sets do not mark the loaded pair; the trailer keeps the points
+    assert back.symmetric is False
+    assert np.array_equal(bop.row_idx, op.row_idx) and np.array_equal(bop.col_idx, op.col_idx)
     bare = tmp_path / "bare.bin"
     persist.write_basis(bare, basis)
     back2, _ = persist.read_basis(bare)

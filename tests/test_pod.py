@@ -293,10 +293,9 @@ def test_prune_symmetry_detection():
     S = rng.standard_normal((6, 6))
     S = S + S.T
     acc = pod.accumulate(pod.TripletAccumulator.empty(4), S)
-    assert pod.prune(acc, 1e-3, 8, detect_symmetry=True).symmetric
-    assert not pod.prune(acc, 1e-3, 8).symmetric
+    assert pod.prune(acc, 1e-3, 8).symmetric
     acc = pod.accumulate(acc, np.triu(np.ones((6, 6))))
-    assert not pod.prune(acc, 1e-3, 8, detect_symmetry=True).symmetric
+    assert not pod.prune(acc, 1e-3, 8).symmetric
 
 
 # ------------------------------------------------------- candidate bookkeeping

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import numpy as np
@@ -268,19 +267,6 @@ def test_relative_errors_streamed_reference_matches_stored():
     assert mean3 == running_mean(per_node3)
 
 
-def test_export_trajectory_csv(tmp_path):
-    rng = np.random.default_rng(144)
-    _, romtraj, _ = rom_and_matching_ref(rng)
-    path = tmp_path / "traj.csv"
-    rom.export_trajectory_csv(path, romtraj)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "frobenius_norm", "rel_error"]
-    assert len(rows) == 1 + len(romtraj.times)
-    assert np.isclose(float(rows[3][1]), np.linalg.norm(romtraj.states[2]))
-    assert all(r[2] == "" for r in rows[1:])
-
-
 # ------------------------------------------------------------------ collapse/symmetry
 
 def test_identity_bases_collapse_to_full_etd():
@@ -305,8 +291,8 @@ def test_symmetric_stream_preserves_state_symmetry():
                      nonlinear=lambda U, X, Y, t: U - U**3, t_final=5.0)
     times = pod.candidate_times(spec.t_final, 24)
     state, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
-    ubasis, _ = pod.dynamic_pod(state, 1e-3, 30, 1e-3, detect_symmetry=True)
-    fbasis, _ = pod.dynamic_pod(nonl, 1e-3, 30, 1e-3, detect_symmetry=True)
+    ubasis, _ = pod.dynamic_pod(state, 1e-3, 30, 1e-3)
+    fbasis, _ = pod.dynamic_pod(nonl, 1e-3, 30, 1e-3)
     assert ubasis.symmetric and fbasis.symmetric
     # spans agree up to column signs: all principal angles vanish
     angles = np.linalg.svd(ubasis.Vl.T @ ubasis.Wr, compute_uv=False)
