@@ -56,7 +56,6 @@ class RunConfig:
     reference: bool = True
     methods: tuple = ("dynamic",)
     override_memory_guard: bool = False
-    norm: str = "fro"
     eps1: float = None
     eps2: float = None
     test_times: int = 300
@@ -89,8 +88,6 @@ class RunConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ConfigError(f"unknown methods {bad}; choose from {METHODS}")
-        if self.norm not in ("fro", "2"):
-            raise ConfigError("norm must be 'fro' or '2'")
         if self.test_times < 1:
             raise ConfigError("test_times must be positive")
         if not self.taus or not all(0.0 < t < 1.0 for t in self.taus):
@@ -194,7 +191,7 @@ def _build_spec(cfg):
 
 
 def _config_fingerprint(cfg):
-    keys = ("problem", "n", "n_max", "kappa", "tau", "tol", "norm", "eps1", "eps2")
+    keys = ("problem", "n", "n_max", "kappa", "tau", "tol", "eps1", "eps2")
     blob = json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -225,8 +222,7 @@ def cmd_funcapprox(cfg, out):
     for method in cfg.methods:
         tic = time.perf_counter()
         if method == "dynamic":
-            basis, rep = pod.dynamic_pod(source, cfg.tol, cfg.kappa, cfg.tau,
-                                         norm=cfg.norm)
+            basis, rep = pod.dynamic_pod(source, cfg.tol, cfg.kappa, cfg.tau)
         elif method == "vanilla":
             basis, rep = pod.vanilla_pod(source, cfg.kappa, cfg.tau)
         else:
@@ -245,7 +241,7 @@ def cmd_funcapprox(cfg, out):
                 e = np.linalg.norm(b - basis.V @ (basis.V.T @ b)) / np.linalg.norm(b)
                 errs.append(float(e))
             else:
-                errs.append(pod.projection_error(B, basis, cfg.norm))
+                errs.append(pod.projection_error(B, basis))
         rows.append([method, rep.phases_used, rep.n_s, *_widths(basis),
                      float(np.mean(errs))])
         timings[method] = {"basis_seconds": seconds}
@@ -264,8 +260,8 @@ def cmd_funcapprox(cfg, out):
 def cmd_reduce(cfg, out):
     spec = _build_spec(cfg)
     state_src, nonl_src, snap_seconds = _snapshots(cfg, spec)
-    ubasis, urep = pod.dynamic_pod(state_src, cfg.tol, cfg.kappa, cfg.tau, norm=cfg.norm)
-    fbasis, frep = pod.dynamic_pod(nonl_src, cfg.tol, cfg.kappa, cfg.tau, norm=cfg.norm)
+    ubasis, urep = pod.dynamic_pod(state_src, cfg.tol, cfg.kappa, cfg.tau)
+    fbasis, frep = pod.dynamic_pod(nonl_src, cfg.tol, cfg.kappa, cfg.tau)
     tic = time.perf_counter()
     op = deim.build_deim(fbasis)
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
@@ -406,7 +402,7 @@ def cmd_sweep_tau(cfg, out):
     rows = []
     counts = {"dynamic": [], "vector": []}
     for tau in cfg.taus:
-        _, rep = pod.dynamic_pod(state_src, tau, cfg.kappa, tau, norm=cfg.norm)
+        _, rep = pod.dynamic_pod(state_src, tau, cfg.kappa, tau)
         rows.append([tau, "dynamic", rep.n_s])
         counts["dynamic"].append(rep.n_s)
         _, vrep = pod.vector_pod(state_src, tau, tau,

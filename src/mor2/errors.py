@@ -21,14 +21,6 @@ class RankError(Mor2Error):
     """A factorization met numerical rank deficiency it cannot handle."""
 
 
-class StructureError(Mor2Error):
-    """A matrix lacks a structural property a routine requires (e.g. symmetry)."""
-
-
-class ConditioningError(Mor2Error):
-    """An eigenvector basis is too ill conditioned to be used safely."""
-
-
 class SingularityError(Mor2Error):
     """A linear matrix equation is singular or numerically close to it."""
 

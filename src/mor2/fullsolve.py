@@ -19,8 +19,9 @@ A pair of even-size centrosymmetric operators (J A J = A, as the Dirichlet
 and periodic Laplacians are) with real eigenbases in their halves is folded:
 each eigenproblem splits into two half-size ones, and each multiplication
 into two half-size ones plus mirrored adds and subtracts, half the flops.
-B = A and B = A^T reuse A's eigendecomposition.  When an eigenvector basis
-is too ill conditioned the coordinates are real Schur bases instead.
+B = A and B = A^T reuse A's eigendecomposition.  When kernels.eig_pair
+finds no usable eigenbasis of A or B (None: an ill-conditioned or defective
+one) the coordinates are real Schur bases instead.
 """
 
 import time

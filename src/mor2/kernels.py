@@ -11,14 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ConditioningError,
-    DimensionError,
-    InputError,
-    RankError,
-    SingularityError,
-    StructureError,
-)
+from .errors import DimensionError, InputError, RankError, SingularityError
 
 # Tolerances and sizes, fixed for every call; is_symmetric alone takes its
 # tolerance as a parameter.
@@ -75,13 +68,15 @@ class SvdTriplet:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigendecomposition A = Q diag(values) Q^{-1}.
+    """Eigendecomposition A = Q diag(values) Q^{-1}, built by eig_pair, which
+    gives None instead when A has no usable eigenbasis.
 
     For symmetric input Q is orthogonal, values are real ascending and
     ``inverse`` is simply Q^T.  A tridiagonal matrix similar to a symmetric
     one has real values and a real, non-orthogonal Q.  For other general
-    input everything is complex.  The Propagator's folded pairs hold Q and
-    Q^{-1} as real FoldedMatrix objects.
+    input Q and the values are complex unless every eigenvalue is real.
+    The Propagator's folded pairs hold Q and Q^{-1} as real FoldedMatrix
+    objects.
     """
 
     values: np.ndarray
@@ -226,46 +221,38 @@ def pivoted_qr_indices(Bt):
     return piv[:Bt.shape[0]]
 
 
-def sym_eig(S):
-    """Orthogonal eigendecomposition of a symmetric matrix, values ascending."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError("sym_eig expects a square matrix")
-    _check_finite("S", S)
-    if not is_symmetric(S):
-        raise StructureError("matrix is not symmetric within tolerance")
-    vals, Q = np.linalg.eigh(0.5 * (S + S.T))
-    return EigenPair(vals, Q, Q.T.copy())
+def eig_pair(A):
+    """The one entry point for eigendecompositions: an EigenPair of a square,
+    finite A, or None when no eigenbasis of A is usable.
+
+    A symmetric within SYM_REL_TOL gets LAPACK's symmetric solver on
+    (A + A^T) / 2: Q orthogonal, values ascending, inverse Q^T.  Any other A
+    takes tridiagonal_eig when it applies, else general_eig.  None (an
+    eigenbasis too ill conditioned, or none at all) sends the Propagator to
+    real Schur coordinates.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionError("eig_pair expects a square matrix")
+    _check_finite("A", A)
+    if is_symmetric(A):
+        vals, Q = np.linalg.eigh(0.5 * (A + A.T))
+        return EigenPair(vals, Q, Q.T.copy())
+    pair = tridiagonal_eig(A)
+    return pair if pair is not None else general_eig(A)
 
 
 def general_eig(S):
-    """Eigendecomposition of a general square matrix with an explicit inverse.
-
-    Raises ConditioningError when the eigenvector basis has 2-norm condition
-    number above EIG_COND_LIMIT; callers then fall back to Schur-based solves.
+    """Eigendecomposition of a finite square matrix with an explicit inverse,
+    or None when the eigenvector basis has a 2-norm condition number above
+    EIG_COND_LIMIT or an infinite one (a defective S, whose Q is singular).
+    eig_pair checks the input.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError("general_eig expects a square matrix")
-    _check_finite("S", S)
     vals, Q = np.linalg.eig(S)
     cond = np.linalg.cond(Q)
     if not np.isfinite(cond) or cond > EIG_COND_LIMIT:
-        raise ConditioningError(
-            f"eigenvector basis condition {cond:.3e} exceeds {EIG_COND_LIMIT:.1e}"
-        )
-    Qinv = np.linalg.inv(Q)
-    return EigenPair(vals, Q, Qinv)
-
-
-def eig_pair(A):
-    """sym_eig when A is symmetric within tolerance, else tridiagonal_eig
-    when it applies, else general_eig."""
-    A = np.asarray(A, dtype=float)
-    if is_symmetric(A):
-        return sym_eig(A)
-    pair = tridiagonal_eig(A)
-    return pair if pair is not None else general_eig(A)
+        return None
+    return EigenPair(vals, Q, np.linalg.inv(Q))
 
 
 def tridiagonal_eig(A):
@@ -277,11 +264,8 @@ def tridiagonal_eig(A):
     overflow.  LAPACK's symmetric tridiagonal solver gives S = Q_S L Q_S^T,
     so Q = D Q_S and Q^-1 = Q_S^T D^-1 need no inverse, and cond(Q) =
     cond(D).  Any other pattern, or cond(D) above EIG_COND_LIMIT, gives None.
+    A is finite and square: eig_pair checks it.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 2:
-        return None
-    _check_finite("A", A)
     sup, sub = np.diagonal(A, 1), np.diagonal(A, -1)
     if not np.all(np.sign(sup) * np.sign(sub) > 0):
         return None
@@ -414,7 +398,8 @@ def _eig_folded(A):
     splits A into blkdiag(A11 + A12 J, A11 - A12 J) (Cantoni & Butler, Linear
     Algebra Appl. 13, 1976), so the eigenvectors are K0 blkdiag(Q1, Q2) =
     K blkdiag(Q1, J Q2) / sqrt(2), kept as FoldedMatrix blocks.  A folds when
-    it is centrosymmetric of even size and both halves have real eigenbases.
+    it is centrosymmetric of even size and eig_pair gives both halves real
+    eigenbases; a half with none (None) or a complex one does not fold.
     """
     n = A.shape[0]
     if n % 2 or not np.array_equal(A, A[::-1, ::-1]):
@@ -422,7 +407,7 @@ def _eig_folded(A):
     m = n // 2
     A11, A12J = A[:m, :m], A[:m, m:][:, ::-1]
     e1, e2 = eig_pair(A11 + A12J), eig_pair(A11 - A12J)
-    if np.iscomplexobj(e1.vectors) or np.iscomplexobj(e2.vectors):
+    if any(e is None or np.iscomplexobj(e.vectors) for e in (e1, e2)):
         return None
     s = np.sqrt(0.5)
     return EigenPair(
@@ -454,10 +439,11 @@ class Propagator:
     or out of the coordinates.  Every other pair keeps dense bases.  B = A
     reuses A's eigenbasis; B = A^T takes (Qa^-1)^T and Qa^T as transposed
     views; then, as for a symmetric B = A, map_factors takes both factors of
-    L R^T with one product.  When an eigenbasis (or a half's) is too ill
-    conditioned the coordinates are the real Schur bases of A and B instead,
-    and a step solves one quasi-triangular Sylvester equation.  The step
-    factors are kept for the latest h only.
+    L R^T with one product.  When eig_pair finds no usable eigenbasis of A
+    or of B (None; a half without one makes its side not fold, and
+    eig_pair on the whole matrix decides) the coordinates are the real
+    Schur bases of A and B instead, and a step solves one quasi-triangular
+    Sylvester equation.  The step factors are kept for the latest h only.
     """
 
     def __init__(self, A, B, scheme="etd"):
@@ -466,22 +452,23 @@ class Propagator:
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
         self.scheme = scheme
-        self.fallback = self.shared = False
-        try:
-            eigA = _eig_folded(A)
-            same = np.array_equal(B, A)
-            if same or np.array_equal(B, A.T):      # B's halves are A's, transposed or not
-                eigA = eig_pair(A) if eigA is None else eigA
-                eigB = eigA if same else EigenPair(eigA.values, eigA.inverse.T, eigA.vectors.T)
-                self.shared = np.array_equal(B, A.T)       # Qb^T = Qa^-1, Qb^-T = Qa
-            else:
-                eigB = None if eigA is None else _eig_folded(B)
-                if eigB is None:        # both sides fold or neither does
-                    eigA, eigB = eig_pair(A), eig_pair(B)
+        eigA = _eig_folded(A)
+        same = np.array_equal(B, A)
+        shared = np.array_equal(B, A.T)     # Qb^T = Qa^-1, Qb^-T = Qa
+        if same or shared:      # B's halves are A's, transposed or not
+            eigA = eig_pair(A) if eigA is None else eigA
+            eigB = eigA if same or eigA is None else EigenPair(eigA.values, eigA.inverse.T,
+                                                                eigA.vectors.T)
+        else:
+            eigB = None if eigA is None else _eig_folded(B)
+            if eigB is None:        # both sides fold or neither does
+                eigA, eigB = eig_pair(A), eig_pair(B)
+        self.fallback = eigA is None or eigB is None
+        self.shared = shared and not self.fallback      # Schur bases of A and A^T are unrelated
+        if not self.fallback:
             self.Qa, self.Qa_inv, self.la = eigA.vectors, eigA.inverse, eigA.values
             self.Qb, self.Qb_inv, self.lb = eigB.vectors, eigB.inverse, eigB.values
-        except ConditioningError:
-            self.fallback = True
+        else:
             self.Ta, self.Qa = scipy.linalg.schur(A, output="real")
             self.Tb, self.Qb = scipy.linalg.schur(B, output="real")
             self.Qa_inv, self.Qb_inv = self.Qa.T, self.Qb.T

@@ -189,10 +189,10 @@ def _is_symmetric(Xi):
     return np.linalg.norm(skew.S) <= STREAM_SYM_TOL * np.linalg.norm(Xi.S)
 
 
-def projection_error(Xi, basis, norm="fro"):
+def projection_error(Xi, basis):
     """Relative two-sided projection error of Xi onto a pruned basis pair.
 
-    Measures ||Xi - Vl Vl^T Xi Wr Wr^T|| / ||Xi||, i.e. how well the
+    Measures ||Xi - Vl Vl^T Xi Wr Wr^T||_F / ||Xi||_F, i.e. how well the
     deliverable bases (not the raw accumulator span) reproduce Xi.  A zero
     snapshot scores 0.  For factors Xi = U S V^T the residual is the
     product [U S, -Vl C] [V, Wr]^T with C = Vl^T U S V^T Wr, and its norm
@@ -202,19 +202,17 @@ def projection_error(Xi, basis, norm="fro"):
     if isinstance(Xi, kernels.SvdTriplet):
         if _is_zero(Xi):
             return 0.0
-        ord_ = None if norm == "fro" else np.inf    # the norm of the singular values
         US = Xi.U * Xi.S
         core = (basis.Vl.T @ US) @ (Xi.V.T @ basis.Wr)
         resid = kernels.factored_svd(np.hstack([US, -(basis.Vl @ core)]),
                                      np.hstack([Xi.V, basis.Wr]))
-        return float(np.linalg.norm(resid.S, ord_) / np.linalg.norm(Xi.S, ord_))
+        return float(np.linalg.norm(resid.S) / np.linalg.norm(Xi.S))
     Xi = np.asarray(Xi, dtype=float)
-    ord_ = None if norm == "fro" else 2
-    denom = np.linalg.norm(Xi, ord_)
+    denom = np.linalg.norm(Xi)
     if denom == 0.0:
         return 0.0
     resid = Xi - basis.Vl @ (basis.Vl.T @ Xi @ basis.Wr) @ basis.Wr.T
-    return float(np.linalg.norm(resid, ord_) / denom)
+    return float(np.linalg.norm(resid) / denom)
 
 
 def retained_count(s, tau, n_max):
@@ -333,14 +331,15 @@ def _phased_selection(times, m, tol, score, include):
     )
 
 
-def dynamic_pod(source, tol, kappa, tau, norm="fro"):
+def dynamic_pod(source, tol, kappa, tau):
     """Phased adaptive selection plus pruning; the main offline routine.
 
     Walks the candidate nodes of `source` in three phases.  The first
     snapshot seeds the accumulator; every later node is scored by how well
-    the current tau-pruned bases reproduce it, and included when that score
-    exceeds tol.  Scoring against the pruned deliverable rather than the
-    raw accumulator span keeps the test honest: the accumulator routinely
+    the current tau-pruned bases reproduce it (projection_error, relative
+    in the Frobenius norm), and included when that score exceeds tol.
+    Scoring against the pruned deliverable rather than the raw
+    accumulator span keeps the test honest: the accumulator routinely
     spans a snapshot that the truncated bases cannot represent, and the
     truncated bases are what the reduced model uses.  It also decouples the
     selection count from the truncation level, since tightening tau
@@ -361,7 +360,7 @@ def dynamic_pod(source, tol, kappa, tau, norm="fro"):
         Xi = source.snapshot(i)
         if deliv is None:
             return 0.0 if _is_zero(Xi) else 1.0
-        return projection_error(Xi, deliv, norm)
+        return projection_error(Xi, deliv)
 
     def include(i):
         nonlocal acc, deliv, peak

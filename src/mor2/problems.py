@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, StructureError
+from .errors import ConfigError, DimensionError, InputError
 
 
 def grid_1d(n, bc, a=0.0, b=1.0):
@@ -92,7 +92,6 @@ class ProblemSpec:
     grid_y: np.ndarray
     bc: str
     params: dict = field(default_factory=dict)
-    elementwise: bool = True
 
 
 def eval_nonlinear(spec, U, t):
@@ -104,10 +103,7 @@ def eval_nonlinear(spec, U, t):
 
 def sample_points(spec, row_idx, col_idx):
     """Grid coordinates of the sub-block row_idx x col_idx, as a column of x
-    and a row of y.  Non-entrywise right-hand sides are rejected, since F
-    cannot be evaluated on a sub-block of them."""
-    if not spec.elementwise:
-        raise StructureError("sampled evaluation requires an entrywise nonlinearity")
+    and a row of y."""
     return spec.grid_x[np.asarray(row_idx)][:, None], spec.grid_y[np.asarray(col_idx)][None, :]
 
 
@@ -116,7 +112,7 @@ def eval_nonlinear_at(spec, Z, row_idx, col_idx, t):
 
     Z already holds the state values at those grid positions, so for an
     entrywise nonlinearity this touches only len(row_idx)*len(col_idx)
-    entries.  Non-entrywise right-hand sides are rejected.
+    entries.
     """
     return spec.nonlinear(Z, *sample_points(spec, row_idx, col_idx), t)
 

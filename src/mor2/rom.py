@@ -38,15 +38,14 @@ def assemble_rom(spec, ubasis, factors):
     """Project the operators and the initial state onto the basis pair.
 
     Symmetry of A or B survives the congruence, so those eigenproblems stay
-    symmetric; otherwise a general eigendecomposition is attempted and an
-    ill-conditioned eigenbasis flips the propagator to Schur coordinates.
+    symmetric; otherwise kernels.eig_pair may find no usable eigenbasis,
+    and the propagator then takes Schur coordinates.
     That fallback requires the spectra of Ak and -Bk to stay apart; the
     eigenbasis route needs no such separation because the near-cancelling
     directions go through the phi1 limit.  The eigenbases are folded into
     the interpolation factors, Sl Qa, Qb^-1 Sr, Qa^-1 Ml and Mr Qb, so the
     sampled nonlinearity comes out in the propagator's coordinates.  The
-    grid coordinates of the samples are looked up here, once per model; a
-    non-entrywise F is rejected with StructureError.
+    grid coordinates of the samples are looked up here, once per model.
     """
     Ak = ubasis.Vl.T @ spec.A @ ubasis.Vl
     Bk = ubasis.Wr.T @ spec.B @ ubasis.Wr

@@ -40,6 +40,13 @@ def ac2_64():
     return offline_pipeline(spec, n_max=40, kappa=50, tau=1e-3)
 
 
+@pytest.fixture(scope="session")
+def ac1_1000():
+    """The paper's size: the snapshot run keeps factors (n > DENSE_SVD_MAX)."""
+    spec = problems.build_problem("ac1", 1000)
+    return offline_pipeline(spec, n_max=40, kappa=50, tau=1e-3)
+
+
 def identity_basis(n, tau=1e-3, n_max=4, kappa=None):
     """BasisPair wrapping the full identity: reduction becomes a no-op."""
     eye = np.eye(n)
@@ -75,7 +82,7 @@ def make_spec(A, B, U0, nonlinear=None, t_final=1.0):
         name="synthetic", A=A, B=B, U0=U0, t_final=t_final,
         nonlinear=nonlinear, grid_x=np.arange(A.shape[0], dtype=float),
         grid_y=np.arange(B.shape[0], dtype=float), bc="dirichlet",
-        params={}, elementwise=True,
+        params={},
     )
 
 

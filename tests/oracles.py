@@ -253,16 +253,12 @@ def top_kappa_multiset(snapshots, kappa):
     return np.array(pool[:kappa])
 
 
-def explicit_projection_error(Xi, left, right, norm="fro"):
-    """||Xi - Ql Ql^T Xi Qr Qr^T|| / ||Xi|| with explicit orthonormalization."""
+def explicit_projection_error(Xi, left, right):
+    """||Xi - Ql Ql^T Xi Qr Qr^T||_F / ||Xi||_F with explicit orthonormalization."""
     Xi = np.asarray(Xi, dtype=float)
     Ql = np.linalg.qr(np.asarray(left, dtype=float))[0]
     Qr = np.linalg.qr(np.asarray(right, dtype=float))[0]
-    ord_ = None if norm == "fro" else 2
-    return float(
-        np.linalg.norm(Xi - Ql @ (Ql.T @ Xi @ Qr) @ Qr.T, ord_)
-        / np.linalg.norm(Xi, ord_)
-    )
+    return float(np.linalg.norm(Xi - Ql @ (Ql.T @ Xi @ Qr) @ Qr.T) / np.linalg.norm(Xi))
 
 
 def tail_retained_count(s, tau, n_max):

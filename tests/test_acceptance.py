@@ -16,7 +16,6 @@ import oracles
 from conftest import (fixed_rank_model, identity_model, make_spec, reduced_step, run_full,
                       stable_pair)
 from mor2 import deim, fullsolve, kernels, pod, problems, rom
-from mor2.errors import ConditioningError
 
 
 def report(num, ok, detail):
@@ -176,7 +175,7 @@ def test_criterion_05_identity_reduction_collapses_to_full_solver():
 
 
 def _refuse(A):
-    raise ConditioningError("eigenbasis refused")
+    return None     # as eig_pair does for an unusable eigenbasis
 
 
 def imex_solve(A, B, C, h, schur):
@@ -308,16 +307,14 @@ def test_criterion_09_interface_formation_end_to_end(ac1_64):
                   f"n_s={urep.n_s} snapshots in {urep.phases_used} phase(s)")
 
 
-def test_criterion_10_large_offline_selection_fingerprint():
+def test_criterion_10_large_offline_selection_fingerprint(request):
+    # test_golden pins this run's integers exactly in the default suite
     if not os.environ.get("MOR2_LONG_TESTS"):
         print("\nACCEPTANCE 10 SKIP - optional n=1000 offline fingerprint "
-              "(set MOR2_LONG_TESTS=1 to run, ~minutes)")
+              "(set MOR2_LONG_TESTS=1 to run, ~5 s)")
         pytest.skip("long test disabled")
-    spec = problems.build_problem("ac1", 1000)
-    times = pod.candidate_times(spec.t_final, 40)
-    state_src, nonl_src, _ = fullsolve.trajectory_source(spec, times, "imex")
-    ubasis, urep = pod.dynamic_pod(state_src, 1e-3, 50, 1e-3)
-    fbasis, frep = pod.dynamic_pod(nonl_src, 1e-3, 50, 1e-3)
+    run = request.getfixturevalue("ac1_1000")
+    ubasis, urep, fbasis, frep = (run[k] for k in ("ubasis", "urep", "fbasis", "frep"))
     notes = []
     if urep.phases_used != 1 or frep.phases_used != 1:
         notes.append(f"phases ({urep.phases_used},{frep.phases_used}) != 1")

@@ -90,6 +90,7 @@ def test_load_config_file_with_overrides(tmp_path):
     ["eps1=nan"],
     ["tol=-1"],
     ["detect_symmetry=true"],   # removed: the symmetric mark comes from the snapshots
+    ["norm=fro"],               # removed: projection errors are Frobenius
 ])
 def test_load_config_rejects(sets):
     with pytest.raises(ConfigError):

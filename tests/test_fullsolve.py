@@ -8,7 +8,7 @@ import pytest
 import oracles
 from conftest import full_step, make_spec, run_full, stable_pair
 from mor2 import fullsolve, kernels, pod, problems
-from mor2.errors import ConditioningError, DimensionError, DivergenceError
+from mor2.errors import DimensionError, DivergenceError
 
 
 # -------------------------------------------------------------------- time grid
@@ -247,8 +247,7 @@ def test_iter_full_complex_eigenbasis_matches_legacy_trajectory(scheme):
 def test_iter_full_schur_fallback_matches_vectorized_trajectory(scheme):
     # upper bidiagonal with a repeated diagonal: one Jordan block, no eigenbasis
     spec = _bidiagonal_spec(0.0)
-    with pytest.raises(ConditioningError):
-        kernels.eig_pair(spec.A)
+    assert kernels.eig_pair(spec.A) is None
     assert kernels.Propagator(spec.A, spec.B, scheme).fallback
     grid = fullsolve.TimeGrid(spec.t_final, 20)
     ref = oracles.vectorized_full_trajectory(spec, grid.h, grid.n_t, scheme)
@@ -567,3 +566,33 @@ def test_factored_reference_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 8 * FACTORED_N**2
+
+
+@pytest.mark.parametrize("n", [64, FACTORED_N])
+def test_f_is_evaluated_once_per_node_that_uses_it(monkeypatch, n):
+    # the reference's step from the last node is never taken, so F is not
+    # evaluated there; the snapshot run keeps F at every node
+    spec = problems.build_problem("rdc", n)
+    nonlinear, calls = spec.nonlinear, []
+
+    def counting(U, X, Y, t):
+        calls.append(t)
+        return nonlinear(U, X, Y, t)
+
+    step, dense_steps = kernels.etd_euler_update, []
+
+    def counting_step(*args, **kwargs):
+        dense_steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "etd_euler_update", counting_step)
+    spec = dataclasses.replace(spec, nonlinear=counting)
+    grid = fullsolve.TimeGrid(spec.t_final, 12)
+    assert [i for i, _, _ in fullsolve.iter_full(spec, grid, "etd")] == list(range(13))
+    assert len(dense_steps) == (0 if n > kernels.DENSE_SVD_MAX else 12)
+    assert calls == list(grid.nodes[:-1])
+    calls.clear()
+    times = grid.nodes[:-1]
+    state, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
+    assert _is_factored(state) == _is_factored(nonl) == (n > kernels.DENSE_SVD_MAX)
+    assert calls == list(times)

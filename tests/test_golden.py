@@ -13,6 +13,8 @@ Comment and header lines and integer and text fields must match exactly;
 floating-point fields match to a relative tolerance of RTOL, which leaves
 room for other BLAS kernels to move the last digits.  A change that moves
 a report on purpose regenerates its golden file with the commands above.
+The selection integers of acceptance 10's paper-size run (ac1, n = 1000)
+are pinned here too, as the suite's one end-to-end check at that size.
 """
 
 import math
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from mor2 import cli
+from mor2 import cli, kernels
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-6
@@ -73,3 +75,13 @@ def test_reports_match_the_golden_files(problem, tmp_path):
     assert golden
     for want in golden:
         _compare(tmp_path / want.name, want)
+
+
+def test_paper_size_selection_integers(ac1_1000):
+    # acceptance 10's run (ac1, n = 1000, tau = tol = 1e-3), on the factored
+    # snapshot route; acceptance 10 itself only warns outside its windows
+    assert all(isinstance(M, kernels.SvdTriplet)
+               for src in ("state_src", "nonl_src") for M in ac1_1000[src].states[1:])
+    ub, urep, fb, frep = (ac1_1000[k] for k in ("ubasis", "urep", "fbasis", "frep"))
+    assert (urep.phases_used, urep.n_s, ub.nu_l, ub.nu_r) == (1, 7, 7, 13)
+    assert (frep.phases_used, frep.n_s, fb.nu_l, fb.nu_r) == (1, 7, 9, 15)

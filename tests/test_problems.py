@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mor2 import problems
-from mor2.errors import ConfigError, DimensionError, InputError, StructureError
+from mor2.errors import ConfigError, DimensionError, InputError
 
 
 # ------------------------------------------------------------------------ grids
@@ -100,7 +100,6 @@ def test_ac1_structure():
     spec = problems.build_problem("ac1", n)
     assert spec.bc == "dirichlet"
     assert spec.t_final == 5.0
-    assert spec.elementwise
     gx, gy = spec.grid_x, spec.grid_y
     assert np.isclose(gx[0], 2.0 * np.pi / (n + 1))
     assert np.allclose(spec.U0, 0.05 * np.outer(np.sin(gx), np.cos(gy)))
@@ -167,18 +166,6 @@ def test_eval_nonlinear_at_matches_full():
     full = problems.eval_nonlinear(spec, U, 0.3)
     part = problems.eval_nonlinear_at(spec, Z, rows, cols, 0.3)
     assert np.allclose(part, full[np.ix_(rows, cols)])
-
-
-def test_eval_nonlinear_at_requires_elementwise():
-    spec = problems.build_problem("ac1", 8)
-    blocked = problems.ProblemSpec(
-        name=spec.name, A=spec.A, B=spec.B, U0=spec.U0, t_final=spec.t_final,
-        nonlinear=spec.nonlinear, grid_x=spec.grid_x, grid_y=spec.grid_y,
-        bc=spec.bc, params=spec.params, elementwise=False,
-    )
-    with pytest.raises(StructureError):
-        problems.eval_nonlinear_at(blocked, np.ones((2, 2)),
-                                   np.array([0, 1]), np.array([0, 1]), 0.0)
 
 
 # ----------------------------------------------------------- analytic functions

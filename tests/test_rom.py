@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import oracles
 from conftest import (identity_model, identity_pair, make_spec, offline_pipeline, reduced_step,
                       run_full, stable_pair)
 from mor2 import deim, fullsolve, kernels, pod, problems, rom
-from mor2.errors import DimensionError, DivergenceError, SingularityError, StructureError
+from mor2.errors import DimensionError, DivergenceError, SingularityError
 
 
 def random_model(rng, spec, k1, k2, p1, p2):
@@ -49,9 +48,6 @@ def test_assemble_looks_up_sample_points_once():
     X, Y = model.factors.points
     assert np.array_equal(X, spec.grid_x[factors.row_idx][:, None])
     assert np.array_equal(Y, spec.grid_y[factors.col_idx][None, :])
-    blocked = dataclasses.replace(spec, elementwise=False)
-    with pytest.raises(StructureError):
-        rom.assemble_rom(blocked, model.ubasis, factors)
 
 
 def test_assemble_is_a_rayleigh_projection():
