@@ -29,12 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import deim, fullsolve, persist, pod, problems, rom
-from .errors import (
-    ConfigError,
-    IntegrityError,
-    MemoryGuardError,
-    Mor2Error,
-)
+from .errors import ConfigError, IntegrityError, Mor2Error
 
 PDE_PROBLEMS = ("ac1", "ac2", "rdc")
 ANALYTIC_PROBLEMS = ("phi1", "phi2", "phi3")
@@ -343,6 +338,10 @@ def _load_artifacts(cfg, out):
 def cmd_solve(cfg, out):
     spec = _build_spec(cfg)
     manifest, ubasis, fbasis, op = _load_artifacts(cfg, out)
+    for what, basis in (("state", ubasis), ("nonlinearity", fbasis)):
+        if (len(basis.Vl), len(basis.Wr)) != (len(spec.A), len(spec.B)):
+            raise IntegrityError(f"{what} basis is for a {len(basis.Vl)} x {len(basis.Wr)} "
+                                 f"grid, not {len(spec.A)} x {len(spec.B)}")
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
     model = rom.assemble_rom(spec, ubasis, factors)
     grid = fullsolve.TimeGrid(spec.t_final, cfg.n_t)
@@ -459,7 +458,7 @@ def main(argv=None):
             "command": args.command, "config": dataclasses.asdict(cfg), **record,
         })
         return 0
-    except (ConfigError, MemoryGuardError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Numeric failures, configuration mistakes and artifact corruption are kept
-distinguishable so the command-line layer can map them to exit codes.
+One class per exit code of the command-line layer: ConfigError (2) for the
+configuration, IntegrityError (4) for artifacts; any other Mor2Error is 3.
 """
 
 
@@ -33,17 +33,9 @@ class DivergenceError(Mor2Error):
         self.step = step
 
 
-class MemoryGuardError(Mor2Error):
-    """A vectorized baseline was requested beyond the desk-scale guard."""
-
-
 class ConfigError(Mor2Error):
     """Invalid run configuration."""
 
 
 class IntegrityError(Mor2Error):
     """Persisted artifacts are missing, corrupt, or inconsistent with the config."""
-
-
-class FormatError(IntegrityError):
-    """A binary artifact does not follow the documented layout."""

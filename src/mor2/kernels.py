@@ -37,10 +37,7 @@ def is_symmetric(A, rel_tol=SYM_REL_TOL):
     """True when A is square and ||A - A^T||_F <= rel_tol * ||A||_F."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         return False
-    nrm = np.linalg.norm(A)
-    if nrm == 0.0:
-        return True
-    return np.linalg.norm(A - A.T) <= rel_tol * nrm
+    return np.linalg.norm(A - A.T) <= rel_tol * np.linalg.norm(A)
 
 
 @dataclass(frozen=True)
@@ -284,27 +281,9 @@ def tridiagonal_eig(A):
 def phi1(z):
     """First exponential-integrator kernel (e^z - 1) / z, with phi1(0) = 1."""
     z = np.atleast_1d(np.asarray(z))
-    if np.iscomplexobj(z):
-        # e^{z/2} * sinh(z/2) / (z/2); a short series covers the 0/0 region.
-        w = 0.5 * z
-        small = np.abs(w) < 1e-4
-        far = w.real < -700.0   # e^{z/2} underflows, sinh(z/2) overflows: -1/z
-        # Above Re z = 700 the product of the factors can overflow, and inf * 0
-        # is NaN; e^{-z} is negligible there, so phi1 = e^{z - log z}.
-        high = w.real > 350.0
-        wsafe = np.where(small | far | high, 1.0, w)
-        core = np.where(
-            small,
-            1.0 + w * w / 6.0 + (w * w) * (w * w) / 120.0,
-            np.sinh(wsafe) / wsafe,
-        )
-        out = np.exp(np.where(high, 0.0, w)) * core
-        out[far] = -1.0 / z[far]
-        out[high] = np.exp(z[high] - np.log(z[high]))
-        return out
-    out = np.ones_like(z, dtype=float)
-    high = z > 700.0            # expm1 overflows before the quotient does: e^{z - log z}
-    nz = (z != 0.0) & ~high
+    out = np.ones_like(z, dtype=np.result_type(z, float))
+    high = z.real > 700.0       # expm1 overflows before the quotient does: e^{z - log z}
+    nz = ~((np.abs(z) <= 1e-150) | high)   # below, 1 + z/2 + ... rounds to 1; NaN stays
     out[nz] = np.expm1(z[nz]) / z[nz]
     out[high] = np.exp(z[high] - np.log(z[high]))
     return out

@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .deim import deim_operator
-from .errors import FormatError
+from .errors import IntegrityError
 from .pod import BasisPair
 
 BASIS_MAGIC = b"MOR2BAS"
@@ -38,8 +38,8 @@ def _read(fh, n, what):
     left in the file before anything is read or allocated."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
-        raise FormatError(f"truncated file while reading {what}: {n} bytes "
-                          f"claimed, {left} left")
+        raise IntegrityError(f"truncated file while reading {what}: {n} bytes "
+                             f"claimed, {left} left")
     return fh.read(n)
 
 
@@ -52,7 +52,7 @@ def _read_indices(fh, count, size, what):
     """count distinct interpolation indices below size."""
     idx = np.frombuffer(_read(fh, 4 * count, f"{what} indices"), dtype="<u4").astype(np.intp)
     if np.any(idx >= size) or len(np.unique(idx)) != count:
-        raise FormatError(f"{what} indices are out of range [0, {size}) or repeated")
+        raise IntegrityError(f"{what} indices are out of range [0, {size}) or repeated")
     return idx
 
 
@@ -81,18 +81,20 @@ def read_basis(path):
     stored trailer carries the interpolation points.  A trailer whose
     point counts differ from the basis widths, whose indices are out of
     range or repeated, or whose stored Pl^T Vl or Wr^T Pr differs from the
-    rows of the stored basis, is a FormatError.
+    rows of the stored basis, is an IntegrityError; so is an empty Vl or Wr.
     """
     with open(path, "rb") as fh:
         header = _read(fh, struct.calcsize("<7sH"), "basis header")
         magic, version = struct.unpack("<7sH", header)
         if magic != BASIS_MAGIC:
-            raise FormatError("not a basis container (bad magic)")
+            raise IntegrityError("not a basis container (bad magic)")
         if version != VERSION:
-            raise FormatError(f"unsupported basis container version {version}")
+            raise IntegrityError(f"unsupported basis container version {version}")
         mats = []
         for what in ("Vl", "Wr"):
             rows, cols = struct.unpack("<II", _read(fh, 8, f"{what} shape"))
+            if rows == 0 or cols == 0:
+                raise IntegrityError(f"empty {what}: {rows} x {cols}")
             mats.append(_read_matrix(fh, rows, cols, what))
         Vl, Wr = mats
         sl = np.frombuffer(_read(fh, 8 * Vl.shape[1], "left weights"), dtype="<f8").copy()
@@ -103,10 +105,10 @@ def read_basis(path):
         trailer = fh.read(8)
         if trailer:
             if len(trailer) != 8:
-                raise FormatError("truncated interpolation trailer")
+                raise IntegrityError("truncated interpolation trailer")
             p1, p2 = struct.unpack("<II", trailer)
             if (p1, p2) != (Vl.shape[1], Wr.shape[1]):
-                raise FormatError(
+                raise IntegrityError(
                     f"interpolation trailer has {p1} x {p2} points for bases of "
                     f"width {Vl.shape[1]} and {Wr.shape[1]}"
                 )
@@ -115,10 +117,10 @@ def read_basis(path):
             left = _read_matrix(fh, p1, p1, "row selection matrix")
             right = _read_matrix(fh, p2, p2, "column selection matrix")
             if fh.read(1):
-                raise FormatError("trailing bytes after the interpolation trailer")
+                raise IntegrityError("trailing bytes after the interpolation trailer")
             if not (np.array_equal(left, Vl[row_idx, :])
                     and np.array_equal(right, Wr[col_idx, :].T)):
-                raise FormatError("interpolation selection matrices differ from "
-                                  "the basis rows at their indices")
+                raise IntegrityError("interpolation selection matrices differ from "
+                                     "the basis rows at their indices")
             op = deim_operator(Vl, Wr, row_idx, col_idx)
     return BasisPair(Vl, Wr, sl, sr, tau, n_max, kappa), op

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, InputError, MemoryGuardError
+from .errors import ConfigError, DimensionError, InputError
 
 # Singular values below this relative threshold never enter the accumulator;
 # the randomized snapshot SVD certifies its residual against it too.
@@ -372,7 +372,7 @@ def dynamic_pod(source, tol, kappa, tau):
         return True
 
     report = _phased_selection(times, m, tol, score, include)
-    basis = prune(acc, tau, m)
+    basis = deliv if deliv is not None else prune(acc, tau, m)
     return basis, replace(report, method="dynamic", peak_storage_floats=peak,
                           seconds=time.perf_counter() - tic)
 
@@ -480,7 +480,7 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
     """
     shape = source.matrix(0).shape
     if max(shape) > VECTOR_GUARD_DIM and not override_guard:
-        raise MemoryGuardError(
+        raise ConfigError(
             f"vectorized snapshots at n = {max(shape)} exceed the desk-scale "
             f"guard ({VECTOR_GUARD_DIM}); pass override_memory_guard to force"
         )

@@ -22,15 +22,14 @@ BLOWUP_NORM = 1e12
 
 @dataclass
 class ReducedModel:
-    """Projected operators plus everything needed to step and lift; factors
-    are folded into the coordinates of the propagator."""
+    """Projected operators plus everything needed to step; factors are
+    folded into the coordinates of the propagator."""
 
     Ak: np.ndarray
     Bk: np.ndarray
     Y0: np.ndarray
     propagator: kernels.Propagator
     factors: deim.RomDeimFactors
-    ubasis: object
     spec: problems.ProblemSpec
 
 
@@ -61,7 +60,7 @@ def assemble_rom(spec, ubasis, factors):
         factors.row_idx, factors.col_idx,
         problems.sample_points(spec, factors.row_idx, factors.col_idx),
     )
-    return ReducedModel(Ak, Bk, Y0, prop, folded, ubasis, spec)
+    return ReducedModel(Ak, Bk, Y0, prop, folded, spec)
 
 
 def etd_step(model, Yhat, t, h):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -302,6 +303,39 @@ def test_solve_rejects_oversized_basis_header(artifacts, tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
     assert "artifact error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def artifacts_n12(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts_n12")
+    sets = [s for s in AC1_SETS if not s.startswith("n=")] + ["n=12"]
+    assert cli.main(argv("reduce", sets, out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("name, what", [("u_basis.mor2bas", "state"),
+                                        ("f_basis.mor2bas", "nonlinearity")])
+def test_solve_rejects_a_basis_file_from_another_grid(artifacts, artifacts_n12, tmp_path,
+                                                      capsys, name, what):
+    # the manifest fingerprint does not cover a swapped file
+    work = tmp_path / "swapped"
+    shutil.copytree(artifacts, work)
+    shutil.copyfile(artifacts_n12 / name, work / name)
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    err = capsys.readouterr().err
+    assert f"artifact error: {what} basis is for a 12 x 12 grid, not 16 x 16" in err
+
+
+def test_solve_rejects_an_empty_state_basis(artifacts, tmp_path, capsys):
+    work = tmp_path / "emptybasis"
+    shutil.copytree(artifacts, work)
+    path = work / "u_basis.mor2bas"
+    basis, _ = persist.read_basis(path)
+    persist.write_basis(path, dataclasses.replace(
+        basis, Vl=basis.Vl[:, :0], Wr=basis.Wr[:, :0],
+        singvals_l=basis.singvals_l[:0], singvals_r=basis.singvals_r[:0]))
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    assert "artifact error: empty Vl" in capsys.readouterr().err
 
 
 def test_reduce_maps_divergence_to_exit_3(tmp_path, capsys):

@@ -510,6 +510,10 @@ def test_phi1_complex_matches_definition():
     assert np.allclose(kernels.phi1(z), (np.exp(z) - 1.0) / z, atol=1e-12)
     tiny = np.array([1e-6 + 1e-6j])
     assert np.allclose(kernels.phi1(tiny), (np.exp(tiny) - 1.0) / tiny, atol=1e-12)
+    # subnormal and zero arguments: phi1 = 1 + z/2 + ... is 1 to rounding,
+    # and the quotient is never formed (complex division of subnormals overflows)
+    subnormal = kernels.phi1(np.array([1e-320 + 0j, 1e-300j, 0j]))
+    assert np.all(np.abs(subnormal - 1.0) <= 1e-15)
 
 
 def test_phi1_complex_branch_has_no_nan_at_large_positive_real_part():

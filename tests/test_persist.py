@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from mor2 import deim, persist, pod
-from mor2.errors import FormatError
+from mor2.errors import IntegrityError
 
 
 def sample_basis(rng, n=7, m=6, k1=3, k2=2, symmetric=False):
@@ -88,7 +88,18 @@ def test_basis_rewrite_is_bit_identical(tmp_path):
 def test_basis_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"MOR2XYZ" + b"\x01\x00" + b"\x00" * 16)
-    with pytest.raises(FormatError):
+    with pytest.raises(IntegrityError):
+        persist.read_basis(path)
+
+
+@pytest.mark.parametrize("shapes", [((7, 0), (6, 0)), ((0, 3), (6, 2)), ((7, 3), (0, 2))])
+def test_basis_read_rejects_an_empty_basis(tmp_path, shapes):
+    (n, k1), (m, k2) = shapes
+    basis = pod.BasisPair(np.zeros((n, k1)), np.zeros((m, k2)), np.ones(k1), np.ones(k2),
+                          1e-3, 8, 20)
+    path = tmp_path / "x.bin"
+    persist.write_basis(path, basis)
+    with pytest.raises(IntegrityError, match="empty"):
         persist.read_basis(path)
 
 
@@ -99,7 +110,7 @@ def test_basis_read_rejects_bad_version(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[7:9] = (7).to_bytes(2, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    with pytest.raises(IntegrityError):
         persist.read_basis(path)
 
 
@@ -110,7 +121,7 @@ def test_basis_read_rejects_truncated_trailer(tmp_path):
     path = tmp_path / "x.bin"
     persist.write_basis(path, basis, op)
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(FormatError):
+    with pytest.raises(IntegrityError):
         persist.read_basis(path)
 
 
@@ -121,7 +132,7 @@ def test_basis_read_rejects_trailing_bytes_after_trailer(tmp_path):
     path = tmp_path / "x.bin"
     persist.write_basis(path, basis, op)
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FormatError):
+    with pytest.raises(IntegrityError):
         persist.read_basis(path)
 
 
@@ -158,7 +169,7 @@ def test_basis_read_rejects_bad_interpolation_trailer(tmp_path, field, value):
     else:
         raw[at - 8:at - 4] = value.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
+    with pytest.raises(IntegrityError):
         persist.read_basis(path)
 
 
@@ -179,7 +190,7 @@ def test_oversized_header_is_a_format_error_without_allocating(tmp_path, rows, c
     path.write_bytes(header(rows, cols) + bytes(64))
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match="claimed"):
+        with pytest.raises(IntegrityError, match="claimed"):
             read(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

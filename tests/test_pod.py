@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from mor2 import fullsolve, kernels, pod, problems
-from mor2.errors import DimensionError, InputError, MemoryGuardError
+from mor2.errors import ConfigError, DimensionError, InputError
 
 
 def source_from(matrices, t_final=1.0):
@@ -519,11 +519,11 @@ def test_vector_pod_refuses_an_all_zero_stream(adaptive):
 
 def test_vector_pod_memory_guard():
     X = np.ones((520, 3))
-    with pytest.raises(MemoryGuardError):
+    with pytest.raises(ConfigError):
         pod.vector_pod(source_from([X] * 8), 1e-3, 1e-3)
     basis, _ = pod.vector_pod(source_from([X] * 8), 1e-3, 1e-3, override_guard=True)
     assert basis.k == 1
-    with pytest.raises(MemoryGuardError):
+    with pytest.raises(ConfigError):
         pod.vector_pod(source_from([np.zeros((513, 513))] * 8), 1e-3, 1e-3)
 
 
@@ -552,6 +552,28 @@ def test_vector_pod_non_adaptive_takes_one_svd(monkeypatch):
     basis, report = pod.vector_pod(source_from(mats), 1e-3, 1e-8, adaptive=False)
     assert calls == [(16, 5)]
     assert report.peak_storage_floats == 16 * 5 + basis.V.size
+
+
+def test_dynamic_pod_prunes_once_per_inclusion(ac1_64, monkeypatch):
+    # the bases pruned at the last inclusion are the ones returned
+    prune, calls = pod.prune, []
+
+    def counting(*args):
+        calls.append(args)
+        return prune(*args)
+
+    monkeypatch.setattr(pod, "prune", counting)
+    for src in (ac1_64["state_src"], ac1_64["nonl_src"]):
+        calls.clear()
+        basis, report = pod.dynamic_pod(src, 1e-3, 50, 1e-3)
+        assert len(calls) == report.n_s
+        acc = pod.TripletAccumulator.empty(50)
+        for i in np.searchsorted(src.times, report.included_times):
+            acc = pod.accumulate(acc, src.snapshot(i))
+        want = prune(acc, 1e-3, pod.effective_n_max(len(src.times)))
+        for field in ("Vl", "Wr", "singvals_l", "singvals_r"):
+            assert np.array_equal(getattr(basis, field), getattr(want, field))
+        assert basis.symmetric == want.symmetric
 
 
 def test_dynamic_bases_have_their_largest_entries_positive(ac1_64):

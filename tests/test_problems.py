@@ -80,17 +80,12 @@ def test_laplacian_needs_three_nodes():
 
 def test_first_derivative_neumann():
     n = 9
-    D = problems.build_first_derivative_1d(n, "neumann")
+    D = problems.build_first_derivative_1d(n)
     x = problems.grid_1d(n, "neumann")
     assert np.allclose(D @ np.ones(n), 0.0, atol=1e-12)
     dx = D @ x
     assert np.allclose(dx[1:-1], 1.0, atol=1e-10)
     assert dx[0] == 0.0 and dx[-1] == 0.0
-
-
-def test_first_derivative_other_bc_rejected():
-    with pytest.raises(ConfigError):
-        problems.build_first_derivative_1d(5, "dirichlet")
 
 
 # --------------------------------------------------------------- built problems
@@ -137,7 +132,7 @@ def test_rdc_structure():
     assert spec.bc == "neumann"
     assert spec.t_final == 0.3
     L = problems.build_laplacian_1d(n, "neumann")
-    D = problems.build_first_derivative_1d(n, "neumann")
+    D = problems.build_first_derivative_1d(n)
     assert np.allclose(spec.A, 0.05 * L + D)
     assert np.allclose(spec.B, spec.A.T)
     # the hump initial state tops out at exactly 1.3 when 0.5 is a node
