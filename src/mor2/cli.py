@@ -338,10 +338,19 @@ def _load_artifacts(cfg, out):
 def cmd_solve(cfg, out):
     spec = _build_spec(cfg)
     manifest, ubasis, fbasis, op = _load_artifacts(cfg, out)
+    sel = manifest["selection"]
+    # the manifest fingerprint does not cover the basis files; check each against it
+    params = (cfg.tau, cfg.kappa, pod.effective_n_max(cfg.n_max))
     for what, basis in (("state", ubasis), ("nonlinearity", fbasis)):
         if (len(basis.Vl), len(basis.Wr)) != (len(spec.A), len(spec.B)):
             raise IntegrityError(f"{what} basis is for a {len(basis.Vl)} x {len(basis.Wr)} "
                                  f"grid, not {len(spec.A)} x {len(spec.B)}")
+        if (basis.tau, basis.kappa, basis.n_max) != params:
+            raise IntegrityError(f"{what} basis has (tau, kappa, n_max) = "
+                                 f"{(basis.tau, basis.kappa, basis.n_max)}, not {params}")
+        if (basis.nu_l, basis.nu_r) != (sel[what]["nu_l"], sel[what]["nu_r"]):
+            raise IntegrityError(f"{what} basis has widths {(basis.nu_l, basis.nu_r)}, not "
+                                 f"the manifest's {(sel[what]['nu_l'], sel[what]['nu_r'])}")
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
     model = rom.assemble_rom(spec, ubasis, factors)
     grid = fullsolve.TimeGrid(spec.t_final, cfg.n_t)
@@ -358,7 +367,6 @@ def cmd_solve(cfg, out):
         mean_err, per_node = rom.relative_errors(reference, traj,
                                                  lambda Y: rom.lift(ubasis, Y))
 
-    sel = manifest["selection"]
     rows = [[
         "dynamic",
         sel["state"]["phases"], sel["state"]["n_s"],

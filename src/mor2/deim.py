@@ -132,10 +132,11 @@ def reduced_nonlinear(factors, spec, Y, t):
     result is compressed by the precomputed factors:  Ml f(Z) Mr.  When the
     factors are folded into complex eigen-coordinates, Z is real up to
     rounding and its real part is evaluated.  The grid coordinates of the
-    samples come from factors.points when the factors carry them.
+    samples come from factors.points when the factors carry them.  The
+    products are the np.dot chains rom.run_online takes, so both round alike.
     """
-    Z = factors.Sl @ Y @ factors.Sr
+    Z = np.dot(np.dot(factors.Sl, Y), factors.Sr)
     if np.iscomplexobj(Z):
         Z = Z.real
     points = factors.points or problems.sample_points(spec, factors.row_idx, factors.col_idx)
-    return factors.Ml @ spec.nonlinear(Z, *points, t) @ factors.Mr
+    return np.dot(np.dot(factors.Ml, spec.nonlinear(Z, *points, t)), factors.Mr)

@@ -326,6 +326,47 @@ def test_solve_rejects_a_basis_file_from_another_grid(artifacts, artifacts_n12, 
     assert f"artifact error: {what} basis is for a 12 x 12 grid, not 16 x 16" in err
 
 
+@pytest.fixture(scope="module")
+def artifacts_tau2(tmp_path_factory):
+    out = tmp_path_factory.mktemp("artifacts_tau2")
+    sets = [s for s in AC1_SETS if not s.startswith("tau=")] + ["tau=1e-2"]
+    assert cli.main(argv("reduce", sets, out)) == 0
+    return out
+
+
+@pytest.mark.parametrize("name, what", [("u_basis.mor2bas", "state"),
+                                        ("f_basis.mor2bas", "nonlinearity")])
+def test_solve_rejects_a_basis_file_from_another_tau(artifacts, artifacts_tau2, tmp_path,
+                                                     capsys, name, what):
+    work = tmp_path / "swapped"
+    shutil.copytree(artifacts, work)
+    shutil.copyfile(artifacts_tau2 / name, work / name)
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    err = capsys.readouterr().err
+    assert (f"artifact error: {what} basis has (tau, kappa, n_max) = (0.01, 12, 8), "
+            f"not (0.001, 12, 8)") in err
+
+
+def test_solve_rejects_a_state_basis_narrower_than_the_manifest(artifacts, tmp_path, capsys):
+    work = tmp_path / "narrowed"
+    shutil.copytree(artifacts, work)
+    path = work / "u_basis.mor2bas"
+    basis, _ = persist.read_basis(path)
+    persist.write_basis(path, dataclasses.replace(
+        basis, Vl=basis.Vl[:, :-1], singvals_l=basis.singvals_l[:-1]))
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    want = (f"state basis has widths {(basis.nu_l - 1, basis.nu_r)}, not the manifest's "
+            f"{(basis.nu_l, basis.nu_r)}")
+    assert want in capsys.readouterr().err
+
+
+def test_solve_accepts_an_n_max_that_is_not_a_multiple_of_4(tmp_path):
+    sets = [s for s in AC1_SETS if not s.startswith("n_max=")] + ["n_max=10", "n_t=20"]
+    assert cli.main(argv("reduce", sets, tmp_path)) == 0
+    assert persist.read_basis(tmp_path / "u_basis.mor2bas")[0].n_max == 8
+    assert cli.main(argv("solve", sets, tmp_path)) == 0
+
+
 def test_solve_rejects_an_empty_state_basis(artifacts, tmp_path, capsys):
     work = tmp_path / "emptybasis"
     shutil.copytree(artifacts, work)

@@ -356,6 +356,40 @@ def test_run_online_complex_basis_matches_legacy_trajectory():
         assert np.linalg.norm(Y - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _online_model(route):
+    if route in ("ac1", "rdc"):
+        spec = problems.build_problem(route, 32)
+        pipe = offline_pipeline(spec, n_max=20, kappa=20, tau=1e-3)
+        return rom.assemble_rom(spec, pipe["ubasis"], pipe["factors"]), 20
+    if route == "complex":
+        rng = np.random.default_rng(139)
+        A, B = stable_pair(rng, 12, 10, symmetric=False)
+        spec = make_spec(A, B, rng.standard_normal((12, 10)),
+                         nonlinear=lambda U, X, Y, t: np.sin(U))
+        return random_model(rng, spec, 4, 3, 4, 4)[0], 20
+    spec = make_spec(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.array([[-2.0]]),
+                     np.ones((2, 1)), nonlinear=lambda U, X, Y, t: np.sin(U) + t)
+    return identity_model(spec)[0], 8
+
+
+@pytest.mark.parametrize("route", ["ac1", "rdc", "complex", "fallback"])
+def test_run_online_is_stepping_etd_step_bit_for_bit(route):
+    model, n_t = _online_model(route)
+    prop = model.propagator
+    assert np.iscomplexobj(prop.Qa) == (route == "complex")
+    assert prop.fallback == (route == "fallback")
+    grid = fullsolve.TimeGrid(model.spec.t_final, n_t)
+    traj = rom.run_online(model, grid)
+    Yhat = prop.to_coords(model.Y0)
+    want = [model.Y0]
+    for t in grid.nodes[:-1]:
+        Yhat = rom.etd_step(model, Yhat, t, grid.h)
+        want.append(prop.to_physical(Yhat))
+    assert len(traj.states) == len(want) == n_t + 1
+    for Y, W in zip(traj.states, want):
+        assert np.array_equal(Y, W)
+
+
 def test_run_online_divergence_step_matches_legacy():
     # strongly non-normal A: coordinate and state norms differ by up to cond(Qa)
     spec = make_spec(np.array([[1.0, 300.0], [0.0, 0.999]]), [[0.5]], [[1.0], [-0.5]],
