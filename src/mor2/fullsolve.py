@@ -57,14 +57,15 @@ class TimeGrid:
 class Trajectory:
     """Matrices at increasing times, read by index or as (t, U) pairs.
 
-    states holds each as an ndarray or, from a factored snapshot run, as
-    kernels.SvdTriplet factors; matrix(i) and iteration rebuild the latter
-    densely on demand, snapshot(i) returns what is stored.  seconds is the
-    wall time of the run that made them, where one did.
+    states is a list of ndarrays, one (n_t + 1, k1, k2) array (rom.run_online;
+    it indexes, counts and iterates alike) or, from a factored snapshot run,
+    a list of kernels.SvdTriplet factors; matrix(i) and iteration rebuild
+    those densely on demand, snapshot(i) returns what is stored.  seconds is
+    the wall time of the run that made them, where one did.
     """
 
     times: np.ndarray
-    states: list
+    states: list | np.ndarray
     seconds: float = 0.0
 
     def snapshot(self, i):

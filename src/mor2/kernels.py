@@ -26,6 +26,7 @@ RESIDUAL_ROWS = 32         # rows per block of the range finder's residual norm
 
 # A fixed seed keeps the randomized SVD deterministic run to run.
 _RANGE_SEED = 20240901
+_WARM_OMEGA = {}
 
 
 def _check_finite(name, arr):
@@ -139,28 +140,29 @@ def factored_svd(L, R):
 def _range_finder(M, r, start=None):
     """The warm pass and the cold blocks of truncated_svd and compress."""
     limit = min(M.shape) / 4
-    extra = RANGE_BLOCK // 4
+    n, extra = M.shape[1], RANGE_BLOCK // 4
     if start is not None and start.shape[1] + extra <= limit:
-        rng = np.random.default_rng(_RANGE_SEED)
-        trip = _range_svd(M, r, extra, rng, start)
+        if n not in _WARM_OMEGA:    # the same draw each time: made once per n, read-only
+            _WARM_OMEGA[n] = np.random.default_rng(_RANGE_SEED).standard_normal((n, extra))
+            _WARM_OMEGA[n].flags.writeable = False
+        trip = _range_svd(M, r, _WARM_OMEGA[n], start)
         if trip is not None:
             return trip
     rng = np.random.default_rng(_RANGE_SEED)
     block = RANGE_BLOCK
     while block <= limit:
-        trip = _range_svd(M, r, block, rng)
+        trip = _range_svd(M, r, rng.standard_normal((n, block)))
         if trip is not None:
             return trip
         block *= 2
     return None
 
 
-def _range_svd(M, r, block, rng, start=None):
-    """truncated_svd from a block-column range finder, or None when M is not
-    finite or the residual is not negligible.  With start the test matrix is
-    [start, block Gaussian columns] and there is no power iteration; r = None
-    keeps the triplets at or above NEGLIGIBLE_REL * sigma_1."""
-    omega = rng.standard_normal((M.shape[1], block))
+def _range_svd(M, r, omega, start=None):
+    """truncated_svd from a block-column range finder with the Gaussian test
+    columns omega, or None when M is not finite or the residual is not
+    negligible.  With start the test matrix is [start, omega], without a power
+    iteration; r = None keeps the triplets at or above NEGLIGIBLE_REL * sigma_1."""
     sketch = M @ omega if start is None else (np.hstack([start, omega]).T @ M.T).T
     if not np.all(np.isfinite(sketch)):     # nor is M: a non-finite entry spoils its row
         return None
@@ -501,23 +503,27 @@ class Propagator:
         scipy.linalg.blas.dgemm(1.0, a, b, 1.0, M.T, trans_b=True, overwrite_c=True)
         return M
 
-    def advance(self, Uhat, Fhat, h):
+    def advance(self, Uhat, Fhat, h, out=None):
         """One step of the coordinates Uhat at frozen Fhat (also in coordinates).
 
-        In eigen-coordinates Uhat is updated in place and Fhat overwritten;
-        in Schur coordinates the step is a new matrix.  Returns the new Uhat.
+        In eigen-coordinates Uhat is updated in place, or left alone when the
+        step goes to out, and Fhat is overwritten; in Schur coordinates the
+        step is a new matrix, copied into out when given.  Returns the new Uhat.
         """
         E, P = self._factors(h)
         if not self.fallback:
-            Uhat *= E
+            out = np.multiply(Uhat, E, out=Uhat if out is None else out)
             Fhat *= P
-            Uhat += Fhat
-            return Uhat
+            out += Fhat
+            return out
         # Schur coordinates: E and P are the left and right step factors,
         # exp(hTa) and exp(hTb) for etd, I - hTa and -hTb for imex.
-        if self.scheme == "imex":
-            return _schur_sylvester(E, P, Uhat + h * Fhat)
-        return E @ Uhat @ P + _schur_sylvester(self.Ta, self.Tb, E @ Fhat @ P - Fhat)
+        Unew = (_schur_sylvester(E, P, Uhat + h * Fhat) if self.scheme == "imex" else
+                E @ Uhat @ P + _schur_sylvester(self.Ta, self.Tb, E @ Fhat @ P - Fhat))
+        if out is None:
+            return Unew
+        np.copyto(out, Unew)
+        return out
 
     def _factors(self, h):
         if h != self._h:
@@ -534,7 +540,9 @@ class Propagator:
         if self.fallback:
             return np.eye(len(self.Ta)) - h * self.Ta, -h * self.Tb
         if self.scheme == "etd":
-            return np.exp(h * self.la)[:, None] * np.exp(h * self.lb)[None, :], h * phi1(z)
+            E = np.exp(h * self.la)[:, None] * np.exp(h * self.lb)[None, :]
+            E[np.abs(E) < np.finfo(float).tiny] = 0.0     # subnormal products are ~100x slower
+            return E, h * phi1(z)
         E = 1.0 / (1.0 - z)
         return E, h * E
 

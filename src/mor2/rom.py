@@ -6,7 +6,8 @@ interpolation factors.  Online stepping uses the full solver's
 kernels.Propagator, built on Ak and Bk, with its eigenbases folded into the
 interpolation factors: a step is four small products, the sampled F and two
 Hadamard products, so its cost depends on the reduced dimensions only.
-run_online takes its steps in one loop; etd_step is the same step alone.
+run_online takes its steps in one loop, writing each straight into the
+array it returns; etd_step is the same step alone.
 """
 
 import time
@@ -32,6 +33,7 @@ class ReducedModel:
     propagator: kernels.Propagator
     factors: deim.RomDeimFactors
     spec: problems.ProblemSpec
+    coord_limit: float
 
 
 def assemble_rom(spec, ubasis, factors):
@@ -45,7 +47,9 @@ def assemble_rom(spec, ubasis, factors):
     directions go through the phi1 limit.  The eigenbases are folded into
     the interpolation factors, Sl Qa, Qb^-1 Sr, Qa^-1 Ml and Mr Qb, so the
     sampled nonlinearity comes out in the propagator's coordinates.  The
-    grid coordinates of the samples are looked up here, once per model.
+    grid coordinates of the samples are looked up here, once per model, and
+    so is coord_limit, the squared coordinate norm below which run_online's
+    divergence test need not form the state.
     """
     Ak = ubasis.Vl.T @ spec.A @ ubasis.Vl
     Bk = ubasis.Wr.T @ spec.B @ ubasis.Wr
@@ -61,7 +65,9 @@ def assemble_rom(spec, ubasis, factors):
         factors.row_idx, factors.col_idx,
         problems.sample_points(spec, factors.row_idx, factors.col_idx),
     )
-    return ReducedModel(Ak, Bk, Y0, prop, folded, spec)
+    # ||Y||_F <= gain ||Yhat||_F, so Y is formed only near the limit
+    gain = np.linalg.norm(prop.Qa, 2) * np.linalg.norm(prop.Qb_inv, 2)
+    return ReducedModel(Ak, Bk, Y0, prop, folded, spec, (BLOWUP_NORM / gain) ** 2)
 
 
 def etd_step(model, Yhat, t, h):
@@ -75,40 +81,49 @@ def run_online(model, grid):
     """March the reduced model over the grid, storing every node.
 
     One loop does etd_step's arithmetic with what it reads hoisted out; its
-    products are deim.reduced_nonlinear's np.dot chains, so the trajectory is
-    bit for bit that of stepping etd_step.  The stored states are mapped back
-    to the basis coordinates with one batched product at the end.
+    products are deim.reduced_nonlinear's np.dot chains, written into buffers
+    allocated once per call, so the trajectory is bit for bit that of
+    stepping etd_step.  Each step is written straight into its node of the
+    returned (n_t + 1, k1, k2) array.  The stored states are mapped back to
+    the basis coordinates as Propagator.to_physical associates the product;
+    with real dense bases in place, through one scratch stack kept on the
+    propagator.
     """
     prop = model.propagator
     fac = model.factors
     Sl, Sr, Ml, Mr = fac.Sl, fac.Sr, fac.Ml, fac.Mr
     X, Y = fac.points
     f, h, dot, advance = model.spec.nonlinear, grid.h, np.dot, prop.advance
+    limit = model.coord_limit
     nodes = grid.nodes
     tic = time.perf_counter()
-    gain = np.linalg.norm(prop.Qa, 2) * np.linalg.norm(prop.Qb_inv, 2)
-    limit = (BLOWUP_NORM / gain) ** 2
     Yhat = prop.to_coords(model.Y0)
     coords = np.empty((len(nodes),) + Yhat.shape, dtype=Yhat.dtype)
     coords[0] = Yhat
     complex_coords = np.iscomplexobj(coords)
+    # np.dot's out must be C-contiguous and of exactly the result dtype; F is real
+    T1 = np.empty((len(Sl), Yhat.shape[1]), np.result_type(Sl, Yhat))
+    Z = np.empty((len(Sl), Sr.shape[1]), np.result_type(T1, Sr))
+    Zr = Z.real     # F is evaluated at Z's real part, Z itself on the real route
+    T2 = np.empty((len(Ml), Sr.shape[1]), np.result_type(Ml, float))
+    Fh = np.empty(Yhat.shape, np.result_type(T2, Mr))
     for i, t in enumerate(nodes[:-1].tolist(), 1):
-        Z = dot(dot(Sl, Yhat), Sr)
-        if complex_coords:
-            Z = Z.real
-        Yhat = advance(Yhat, dot(dot(Ml, f(Z, X, Y, t)), Mr), h)
-        # ||Y||_F <= gain ||Yhat||_F, so Y is formed only near the limit;
-        # "not <=" also sends NaN and an overflowed square to the exact test.
+        dot(dot(Sl, Yhat, T1), Sr, Z)
+        Yhat = advance(Yhat, dot(dot(Ml, f(Zr, X, Y, t), T2), Mr, Fh), h, coords[i])
+        # "not <=" also sends NaN and an overflowed square to the exact test
         if not np.vdot(Yhat, Yhat).real <= limit:
             nrm = np.linalg.norm(prop.to_physical(Yhat))
             if not nrm <= BLOWUP_NORM:
                 raise DivergenceError(
                     f"reduced state blew up at step {i} (||Y||_F = {nrm:.3e})", step=i
                 )
-        coords[i] = Yhat
-    states = prop.to_physical(coords)
-    states[0] = model.Y0
-    return Trajectory(nodes.copy(), list(states), seconds=time.perf_counter() - tic)
+    if complex_coords or isinstance(prop.Qa, kernels.FoldedMatrix):
+        coords = prop.to_physical(coords)
+    else:
+        scratch = prop.work(coords.shape, coords.dtype)[0]
+        np.matmul(np.matmul(prop.Qa, coords, out=scratch), prop.Qb_inv, out=coords)
+    coords[0] = model.Y0
+    return Trajectory(nodes, coords, seconds=time.perf_counter() - tic)
 
 
 def lift(ubasis, Y):

@@ -115,9 +115,9 @@ def _record_blocks(monkeypatch):
     blocks = []
     finder = kernels._range_svd
 
-    def recording(M, r, block, rng):
-        blocks.append(block)
-        return finder(M, r, block, rng)
+    def recording(M, r, omega, start=None):
+        blocks.append(omega.shape[1])
+        return finder(M, r, omega, start)
 
     monkeypatch.setattr(kernels, "_range_svd", recording)
     return blocks
@@ -179,6 +179,24 @@ def test_compress_refuses_a_non_finite_matrix_cold_and_warm(bad):
     M[123, 45] = bad
     assert kernels.compress(M) is None
     assert kernels.compress(M, start) is None
+
+
+def test_warm_pass_columns_are_drawn_once_per_row_count(monkeypatch):
+    n, extra = 280, kernels.RANGE_BLOCK // 4
+    M = _low_rank(np.random.default_rng(20), 300, n, 6)
+    start = kernels.compress(M).V
+    blocks = _record_blocks(monkeypatch)
+    a = kernels.compress(M, start)
+    omega = kernels._WARM_OMEGA[n]
+    fresh = np.random.default_rng(kernels._RANGE_SEED).standard_normal((n, extra))
+    assert np.array_equal(omega, fresh)
+    assert not omega.flags.writeable
+    b = kernels.compress(M, start)
+    assert kernels._WARM_OMEGA[n] is omega
+    assert blocks == [extra, extra]     # both certified by the warm pass
+    for x, y in ((a.U, b.U), (a.S, b.S), (a.V, b.V)):
+        assert np.array_equal(x, y)
+    assert a.tail == b.tail
 
 
 # ---------------------------------------------------------- pivoted_qr_indices
@@ -615,6 +633,43 @@ def test_etd_update_general_eigenbases():
 ])
 def test_propagator_step_matches_vectorized_oracle(kind, scheme):
     _check_route(kind, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+@pytest.mark.parametrize("kind", ["symmetric", "general real", "complex", "fallback"])
+def test_advance_into_out_leaves_the_state_and_rounds_alike(kind, scheme):
+    rng = np.random.default_rng(66)
+    A, B = _operator_pair(kind, rng)
+    prop = kernels.Propagator(A, B, scheme)
+    Uhat = prop.to_coords(rng.standard_normal((len(A), len(B))))
+    Fhat = prop.to_coords(rng.standard_normal(Uhat.shape))
+    want = prop.advance(Uhat.copy(), Fhat.copy(), 0.05)
+    before, out = Uhat.copy(), np.empty_like(Uhat)
+    assert prop.advance(Uhat, Fhat.copy(), 0.05, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(Uhat, before)
+
+
+def test_dense_etd_step_flushes_subnormal_step_factors():
+    # rdc at n = 512 and h = 1e-3: 3.4 % of E = e^{h la} (e^{h lb})^T is
+    # subnormal before the flush (-745 < h (la_i + lb_j) < -708)
+    spec = problems.build_problem("rdc", 512)
+    prop = kernels.Propagator(spec.A, spec.B, "etd")
+    assert isinstance(prop.Qa, np.ndarray) and np.isrealobj(prop.Qa)
+    h, tiny = 1e-3, np.finfo(float).tiny
+    raw = np.exp(h * prop.la)[:, None] * np.exp(h * prop.lb)[None, :]
+    assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) > 0
+    rng = np.random.default_rng(67)
+    U, F = rng.standard_normal((2, 512, 512))
+    Uhat = prop.to_coords(U)
+    _, got = kernels.etd_euler_update(prop, Uhat.copy(), F, h)
+    E = prop._factors(h)[0]
+    assert not np.any((E != 0.0) & (np.abs(E) < tiny))
+    # the unflushed update, with etd_euler_update's products and association
+    P = h * kernels.phi1(h * (prop.la[:, None] + prop.lb[None, :]))
+    Unew = raw * Uhat + P * ((prop.Qa_inv @ F) @ prop.Qb)
+    want = (prop.Qa @ Unew) @ prop.Qb_inv
+    assert np.max(np.abs(got - want)) <= 1e-290
 
 
 def test_propagator_rebuilds_factors_when_h_changes():

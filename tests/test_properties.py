@@ -1,6 +1,7 @@
 """Property tests (hypothesis) for the folded maps, the range finder, the
-column pivots, phi1 and the basis container.  Examples are bounded and
-derandomized, so a run is repeatable and stays a few seconds long."""
+column pivots, phi1, the triplet accumulator and the basis container.
+Examples are bounded and derandomized, so a run is repeatable and stays a
+few seconds long."""
 
 from unittest import mock
 
@@ -173,6 +174,50 @@ def test_phi1_complex_matches_its_taylor_sum_near_zero(angle, radius):
     z = 2e-4 * radius * np.exp(1j * angle)
     want = _phi1_taylor(z)
     assert abs(kernels.phi1(np.array([z]))[0] - want) <= 1e-14 * abs(want)
+
+
+# ------------------------------------------------------------ the accumulator
+
+@st.composite
+def snapshot_streams(draw):
+    """kappa and 1-6 snapshots of 8-24 rows as factors L R^T.  Each has rank
+    0 (a zero snapshot) up to min(m, n), so below and above kappa, a scale
+    from 1e-3 to 1e3, and singular values down to 1e-10 of its largest."""
+    m, n = draw(st.integers(8, 24)), draw(st.integers(8, 24))
+    kappa = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stream = []
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(st.integers(0, min(m, n)))
+        s = 10.0 ** draw(st.floats(-3.0, 3.0)) * np.logspace(0, -draw(st.floats(0.0, 10.0)),
+                                                             max(r, 1))
+        L = oracles.random_orthonormal(rng, m, r) * s if r else np.zeros((m, 1))
+        stream.append((L, oracles.random_orthonormal(rng, n, max(r, 1))))
+    return kappa, stream
+
+
+@bounded(60)
+@given(case=snapshot_streams())
+def test_accumulator_keeps_the_top_kappa_multiset_dense_and_factored(case):
+    # Stated before running: the sorted multisets, padded with zeros to one
+    # length, agree entrywise to 1e-12 sigma_1 absolute (sigma_1 the stream's
+    # largest value).  Both routes take LAPACK SVDs, accurate to a few eps
+    # times the snapshot's norm, and a value near the 1e-14 cut of its own
+    # snapshot may fall on either side, so no bound relative to the value holds.
+    kappa, stream = case
+    dense = [L @ R.T for L, R in stream]
+    want = oracles.top_kappa_multiset(dense, kappa)
+    atol = 1e-12 * (want[0] if len(want) else 0.0)
+    for snaps in (dense, [kernels.factored_svd(L, R) for L, R in stream]):
+        acc = pod.TripletAccumulator.empty(kappa)
+        for X in snaps:
+            acc = pod.accumulate(acc, X)
+        assert acc.is_empty == (len(want) == 0)
+        got = np.zeros(0) if acc.is_empty else acc.St
+        assert len(got) <= kappa and np.all(np.diff(got) <= 0.0)
+        size = max(len(got), len(want))
+        gap = np.abs(np.pad(got, (0, size - len(got))) - np.pad(want, (0, size - len(want))))
+        assert np.all(gap <= atol)
 
 
 # ---------------------------------------------------------------- persistence

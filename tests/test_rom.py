@@ -1,3 +1,4 @@
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,32 @@ def test_run_online_is_stepping_etd_step_bit_for_bit(route):
     assert len(traj.states) == len(want) == n_t + 1
     for Y, W in zip(traj.states, want):
         assert np.array_equal(Y, W)
+
+
+def test_run_online_allocates_only_its_result():
+    spec = problems.build_problem("rdc", 32)
+    pipe = offline_pipeline(spec, n_max=20, kappa=20, tau=1e-3)
+    model = rom.assemble_rom(spec, pipe["ubasis"], pipe["factors"])
+    grid = fullsolve.TimeGrid(spec.t_final, 3000)
+    first = rom.run_online(model, grid)
+    tracemalloc.start()
+    try:
+        second = rom.run_online(model, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the states, the node times and the loop's list of them; no temporaries
+    # of the trajectory's size
+    nbytes = sum(np.asarray(Y).nbytes for Y in second.states)
+    assert peak <= 1.25 * nbytes + 64 * 1024
+    # each call returns memory of its own, which no later call writes into
+    assert not np.shares_memory(first.states, second.states)
+    kept = [np.array(Y) for Y in second.states]
+    for Y in first.states:
+        Y[...] = np.nan
+    third = rom.run_online(model, grid)
+    for Y, W, Z in zip(second.states, kept, third.states):
+        assert np.array_equal(Y, W) and np.array_equal(Z, W)
 
 
 def test_run_online_divergence_step_matches_legacy():
