@@ -471,9 +471,9 @@ class Propagator:
         return out.real if np.iscomplexobj(out) else out
 
     def work(self, shape, dtype):
-        """Two row-major scratch matrices of this shape and dtype, kept for reuse."""
-        if self._work is None or self._work[0].shape != shape or self._work[0].dtype != dtype:
-            self._work = (np.empty(shape, dtype), np.empty(shape, dtype))
+        """Row-major scratch of this shape and dtype, kept for reuse ((k, m, n) for k matrices)."""
+        if self._work is None or self._work.shape != shape or self._work.dtype != dtype:
+            self._work = np.empty(shape, dtype)
         return self._work
 
     def map_factors(self, L, R, out=False):
@@ -489,7 +489,7 @@ class Propagator:
         """advance of Uhat = Lc Rc^T at frozen Fhat = Lf Rf^T, into scratch.  Eigen-coordinates
         form neither: etd (E = ea eb^T) takes P .* (Lf Rf^T) + (ea .* Lc)(eb .* Rc)^T,
         the product accumulated in place, imex E .* ([Lc, h Lf] [Rc, Rf]^T)."""
-        M, spare = self.work((len(Lc), len(Rc)), float)
+        M, spare = self.work((2, len(Lc), len(Rc)), float)
         if self.fallback:
             return self.advance(np.matmul(Lc, Rc.T, out=M), np.matmul(Lf, Rf.T, out=spare), h)
         E, P = self._factors(h)
@@ -568,7 +568,7 @@ def etd_euler_update(prop, Uhat, F, h, out=None):
     them ask, so with out and real bases a step allocates nothing.
     Returns (Uhat, U).
     """
-    P, R = prop.work(Uhat.shape, Uhat.dtype)
+    P, R = prop.work((2,) + Uhat.shape, Uhat.dtype)
     if out is None:
         out = np.empty(Uhat.shape)
     if isinstance(prop.Qa, FoldedMatrix):

@@ -29,15 +29,12 @@ NEGLIGIBLE_REL = kernels.NEGLIGIBLE_REL
 STREAM_SYM_TOL = 1e-12
 
 
-def _sign_normalize(U, V=None):
+def _sign_normalize(U):
     """Flip column signs so each column of U has its largest entry positive."""
     idx = np.argmax(np.abs(U), axis=0)
     signs = np.sign(U[idx, np.arange(U.shape[1])])
-    signs[signs == 0] = 1.0
     U = U * signs[None, :]
-    if V is None:
-        return U
-    return U, V * signs[None, :]
+    return U
 
 
 @dataclass
@@ -119,7 +116,6 @@ def accumulate(acc, Xi):
     snapshot_discard = float(trip.S[cap]) if len(trip.S) > cap else trip.tail
     keep = trip.S[:cap] >= NEGLIGIBLE_REL * trip.S[0]
     U, s, V = trip.U[:, :cap][:, keep], trip.S[:cap][keep], trip.V[:, :cap][:, keep]
-    U, V = _sign_normalize(U, V)
 
     symmetric = acc.symmetric_stream and _is_symmetric(Xi)
     sid = np.full(len(s), acc.count_processed, dtype=int)
@@ -219,8 +215,6 @@ def retained_count(s, tau, n_max):
     """Smallest nu with ||s[nu:]||_2 <= tau/sqrt(n_max) * ||s||_2 (at least 1)."""
     s = np.asarray(s, dtype=float)
     total = np.linalg.norm(s)
-    if total == 0.0:
-        return 1
     tail = np.sqrt(np.concatenate([np.cumsum((s**2)[::-1])[::-1], [0.0]]))
     ok = np.nonzero(tail <= (tau / np.sqrt(n_max)) * total)[0]
     return max(1, int(ok[0]))
@@ -418,7 +412,6 @@ def vanilla_pod(source, kappa, tau):
     m = len(times)
     tic = time.perf_counter()
     Vl = Wr = None
-    sl = sr = np.ones(0)
     included = []
     peak = 0
     for i in range(m):

@@ -148,7 +148,6 @@ def build_problem(name, n, **params):
     rdc: reaction-convection-diffusion on [0, 1]^2 with zero-slope walls;
          the drift u_x + u_y is folded into A and B by centered differences.
     """
-    name = name.lower()
     if name == "ac1":
         eps1 = params.pop("eps1", 1e-2)
         eps2 = params.pop("eps2", 1.0)
@@ -250,13 +249,12 @@ _ANALYTIC = {
 
 def analytic_function(name, n, **params):
     """Look up one of the named test functions at grid size n; they read no params."""
-    key = name.lower()
-    if key not in _ANALYTIC:
+    if name not in _ANALYTIC:
         raise ConfigError(f"unknown analytic function {name!r}")
     if params:
         raise ConfigError(f"unused problem parameters: {sorted(params)}")
-    func, x1r, x2r, tf = _ANALYTIC[key]
-    return AnalyticFunction(key, func, x1r, x2r, tf, n)
+    func, x1r, x2r, tf = _ANALYTIC[name]
+    return AnalyticFunction(name, func, x1r, x2r, tf, n)
 
 
 def sample_analytic(fn, t):

@@ -39,9 +39,8 @@ class ReducedModel:
 def assemble_rom(spec, ubasis, factors):
     """Project the operators and the initial state onto the basis pair.
 
-    Symmetry of A or B survives the congruence, so those eigenproblems stay
-    symmetric; otherwise kernels.eig_pair may find no usable eigenbasis,
-    and the propagator then takes Schur coordinates.
+    Symmetry of A or B survives the congruence to rounding, within eig_pair's SYM_REL_TOL;
+    otherwise eig_pair may find no usable eigenbasis, and the propagator takes Schur coordinates.
     That fallback requires the spectra of Ak and -Bk to stay apart; the
     eigenbasis route needs no such separation because the near-cancelling
     directions go through the phi1 limit.  The eigenbases are folded into
@@ -53,10 +52,6 @@ def assemble_rom(spec, ubasis, factors):
     """
     Ak = ubasis.Vl.T @ spec.A @ ubasis.Vl
     Bk = ubasis.Wr.T @ spec.B @ ubasis.Wr
-    if kernels.is_symmetric(spec.A):
-        Ak = 0.5 * (Ak + Ak.T)
-    if kernels.is_symmetric(spec.B):
-        Bk = 0.5 * (Bk + Bk.T)
     Y0 = ubasis.Vl.T @ spec.U0 @ ubasis.Wr
     prop = kernels.Propagator(Ak, Bk, "etd")
     folded = deim.RomDeimFactors(
@@ -120,7 +115,7 @@ def run_online(model, grid):
     if complex_coords or isinstance(prop.Qa, kernels.FoldedMatrix):
         coords = prop.to_physical(coords)
     else:
-        scratch = prop.work(coords.shape, coords.dtype)[0]
+        scratch = prop.work(coords.shape, coords.dtype)
         np.matmul(np.matmul(prop.Qa, coords, out=scratch), prop.Qb_inv, out=coords)
     coords[0] = model.Y0
     return Trajectory(nodes, coords, seconds=time.perf_counter() - tic)

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from mor2 import cli, fullsolve, persist
-from mor2.errors import ConfigError
+from mor2 import cli, fullsolve, persist, rom
+from mor2.errors import ConfigError, SingularityError
 
 AC1_SETS = ["problem=ac1", "n=16", "n_max=8", "kappa=12", "tau=1e-3"]
 
@@ -45,19 +46,22 @@ def test_load_config_file_with_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "# a comment\n"
+        "  # an indented comment\n"
         "problem=rdc\n"
         "n=32\n"
         "\n"
         "taus=1e-2,1e-3\n"
         "methods=dynamic,vector\n"
         "reference=no\n"
+        " override_memory_guard = yes \n"   # blanks around lines, keys and values
     )
-    cfg = cli.load_config(path, ["n=48"])
+    cfg = cli.load_config(path, ["n=48", " kappa= 7"])
     assert cfg.problem == "rdc"
     assert cfg.n == 48  # command line wins over the file
     assert cfg.taus == (1e-2, 1e-3)
     assert cfg.methods == ("dynamic", "vector")
     assert cfg.reference is False
+    assert cfg.override_memory_guard is True and cfg.kappa == 7
 
 
 @pytest.mark.parametrize("sets", [
@@ -155,11 +159,13 @@ def test_reduce_writes_artifacts(artifacts):
     assert "# problem=ac1" in echo
 
 
-def test_reduce_report_is_deterministic(artifacts):
+def test_reduce_report_is_deterministic(artifacts, capsys):
     first = (artifacts / "offline_report.csv").read_bytes()
     decay = (artifacts / "singular_decay.csv").read_bytes()
     rc = cli.main(argv("reduce", AC1_SETS, artifacts))
     assert rc == 0
+    assert re.fullmatch(r"reduce: state phases \d n_s \d+ dims \(\d+,\d+\); nonlinearity "
+                        r"phases \d n_s \d+ dims \(\d+,\d+\)\n", capsys.readouterr().out)
     assert (artifacts / "offline_report.csv").read_bytes() == first
     assert (artifacts / "singular_decay.csv").read_bytes() == decay
 
@@ -171,9 +177,11 @@ def test_reduce_reports_do_not_depend_on_the_output_directory(artifacts, tmp_pat
         assert (other / name).read_bytes() == (artifacts / name).read_bytes()
 
 
-def test_solve_runs_from_artifacts(artifacts):
+def test_solve_runs_from_artifacts(artifacts, capsys):
     rc = cli.main(argv("solve", AC1_SETS + ["n_t=40"], artifacts))
     assert rc == 0
+    assert re.fullmatch(r"solve: 40 steps in \d+\.\d{4}s, mean relative error \d\.\d{3}e-\d+\n",
+                        capsys.readouterr().out)
     echo, header, rows = read_report(artifacts / "solve_report.csv")
     assert header[-1] == "mean_error" and len(rows) == 1
     assert float(rows[0][-1]) <= 1e-2
@@ -190,10 +198,11 @@ def test_solve_runs_from_artifacts(artifacts):
     assert float(traj_rows[0][0]) == 0.0
     info = json.loads((artifacts / "run_info.json").read_text())
     assert info["command"] == "solve"
+    assert (artifacts / "run_info.json").read_text().endswith("}\n")
     assert info["timings"]["per_step_seconds"] >= 0.0
 
 
-def test_solve_without_reference_leaves_error_blank(artifacts, tmp_path):
+def test_solve_without_reference_leaves_error_blank(artifacts, tmp_path, capsys):
     work = tmp_path / "noref"
     shutil.copytree(artifacts, work)
     (work / "error_vs_time.csv").unlink()
@@ -202,6 +211,7 @@ def test_solve_without_reference_leaves_error_blank(artifacts, tmp_path):
     _, _, rows = read_report(work / "solve_report.csv")
     assert rows[0][-1] == ""
     assert not (work / "error_vs_time.csv").is_file()
+    assert re.fullmatch(r"solve: 20 steps in \d+\.\d{4}s\n", capsys.readouterr().out)
 
 
 def test_solve_reference_without_comparable_nodes_exits_3(artifacts, tmp_path,
@@ -379,6 +389,17 @@ def test_solve_rejects_an_empty_state_basis(artifacts, tmp_path, capsys):
     assert "artifact error: empty Vl" in capsys.readouterr().err
 
 
+def test_reduce_checks_the_assembly_before_it_persists_anything(tmp_path, monkeypatch,
+                                                                capsys):
+    def singular(spec, ubasis, factors):
+        raise SingularityError("spectra of A and -B overlap and no stable eigenbasis exists")
+
+    monkeypatch.setattr(rom, "assemble_rom", singular)
+    assert cli.main(argv("reduce", AC1_SETS, tmp_path)) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.mor2bas")) and not (tmp_path / "manifest.json").exists()
+
+
 def test_reduce_maps_divergence_to_exit_3(tmp_path, capsys):
     # a stiff reaction on the coarse snapshot grid overflows the explicit part
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,11 +411,14 @@ def test_reduce_maps_divergence_to_exit_3(tmp_path, capsys):
 
 # -------------------------------------------------------------- funcapprox
 
-def test_funcapprox_all_methods(tmp_path):
+def test_funcapprox_all_methods(tmp_path, capsys):
     sets = ["problem=phi1", "n=16", "n_max=8", "kappa=10", "tau=1e-4",
             "methods=dynamic,vanilla,vector", "test_times=60"]
     rc = cli.main(argv("funcapprox", sets, tmp_path))
     assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" phases ")[0] for line in out] == [
+        "funcapprox: dynamic", "funcapprox: vanilla", "funcapprox: vector"]
     _, header, rows = read_report(tmp_path / "funcapprox_report.csv")
     assert header == ["method", "phases", "n_s", "nu_l", "nu_r", "mean_error"]
     assert [r[0] for r in rows] == ["dynamic", "vanilla", "vector"]
@@ -441,10 +465,14 @@ def test_full_command_is_removed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_tau_reports_counts(tmp_path):
+def test_sweep_tau_reports_counts(tmp_path, capsys):
     sets = AC1_SETS + ["taus=1e-2,1e-3"]
     rc = cli.main(argv("sweep-tau", sets, tmp_path))
     assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" -> ")[0] for line in out] == [
+        "sweep-tau: dynamic n_s over taus [0.01, 0.001]",
+        "sweep-tau: vector n_s over taus [0.01, 0.001]"]
     _, header, rows = read_report(tmp_path / "sweep_tau.csv")
     assert header == ["tau", "method", "n_s"]
     assert len(rows) == 4

@@ -127,18 +127,19 @@ def test_iter_full_matches_trajectory_source():
 
 def test_iter_full_overwrites_one_state_and_allocates_only_f():
     spec = problems.build_problem("ac1", 64)
-    it = fullsolve.iter_full(spec, fullsolve.TimeGrid(spec.t_final, 6), "etd")
+    it = fullsolve.iter_full(spec, fullsolve.TimeGrid(spec.t_final, 12), "etd")
     next(it)
     _, _, first = next(it)
     tracemalloc.start()
     try:
-        _, _, U = next(it)
+        states = [next(it)[2] for _ in range(10)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert U is first
-    # F at the new state is the one n x n array a step allocates
-    assert peak < 1.5 * U.nbytes
+    assert all(U is first for U in states)
+    # F at the new state is the one n x n array a step allocates, over ten
+    # steps too: each F is released before the next is evaluated
+    assert peak < 1.5 * first.nbytes
 
 
 def test_trajectory_source_contents():

@@ -240,6 +240,13 @@ def test_pivoted_qr_shape_error():
         kernels.pivoted_qr_indices(np.ones((4, 2)))
 
 
+def test_pivoted_qr_refuses_non_finite_input():
+    Bt = np.eye(2, 4)
+    Bt[1, 3] = np.nan
+    with pytest.raises(InputError):
+        kernels.pivoted_qr_indices(Bt)
+
+
 # ----------------------------------------------------------------- eigensolvers
 
 def test_eig_pair_symmetric_sorted_ascending():

@@ -417,6 +417,22 @@ def test_run_online_allocates_only_its_result():
         assert np.array_equal(Y, W) and np.array_equal(Z, W)
 
 
+def test_reduced_propagator_keeps_one_map_back_stack():
+    # besides the states it returns, a call leaves allocated the one scratch
+    # stack through which the propagator maps them back, kept for the next call
+    spec = problems.build_problem("rdc", 32)
+    pipe = offline_pipeline(spec, n_max=20, kappa=20, tau=1e-3)
+    model = rom.assemble_rom(spec, pipe["ubasis"], pipe["factors"])
+    assert not np.iscomplexobj(model.propagator.Qa)     # the route that maps back in place
+    tracemalloc.start()
+    try:
+        traj = rom.run_online(model, fullsolve.TimeGrid(spec.t_final, 3000))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - traj.states.nbytes <= 1.1 * traj.states.nbytes
+
+
 def test_run_online_divergence_step_matches_legacy():
     # strongly non-normal A: coordinate and state norms differ by up to cond(Qa)
     spec = make_spec(np.array([[1.0, 300.0], [0.0, 0.999]]), [[0.5]], [[1.0], [-0.5]],
