@@ -66,6 +66,18 @@ def test_assemble_is_a_rayleigh_projection():
     assert np.allclose(model.Y0, ubasis.Vl.T @ U0 @ ubasis.Wr, atol=1e-12)
 
 
+def test_paper_size_ac1_propagator_takes_the_symmetric_route(ac1_1000):
+    # assemble_rom keeps Vl^T A Vl as computed; its rounding asymmetry grows
+    # with n (~3e-15 relative at n = 1000) and must stay inside SYM_REL_TOL,
+    # or eig_pair sends the reduced operators to the general solver
+    run = ac1_1000
+    prop = rom.assemble_rom(run["spec"], run["ubasis"], run["factors"]).propagator
+    assert not prop.fallback
+    for Q, Q_inv, values in ((prop.Qa, prop.Qa_inv, prop.la), (prop.Qb, prop.Qb_inv, prop.lb)):
+        assert np.isrealobj(values) and np.all(np.diff(values) >= 0)
+        assert np.array_equal(Q_inv, Q.T)
+
+
 def test_assemble_projected_spectrum_contained():
     rng = np.random.default_rng(133)
     A = rng.standard_normal((10, 10))

@@ -42,6 +42,7 @@ EXTRA_TESTS = {    # deim's complex branch is pinned by the rom bit-identity tes
     "persist": ("test_cli",),
 }
 PYTEST_ARGS = ("-x", "-q", "-p", "no:cacheprovider", "-k", "not paper_size")
+WORKERS = 2                # parallel test runs, each in its own copy
 
 
 def _kept(stmt):
@@ -164,11 +165,11 @@ def list_mutants(chosen):
     return total
 
 
-def sweep(chosen, workers):
+def sweep(chosen):
     tmp = Path(tempfile.mkdtemp(prefix="mor2-mutate-"))
     copies = queue.Queue()
     try:
-        for w in range(workers):
+        for w in range(WORKERS):
             work = tmp / str(w)
             shutil.copytree(ROOT / "src", work / "src")
             shutil.copytree(ROOT / "tests", work / "tests")
@@ -183,7 +184,7 @@ def sweep(chosen, workers):
                 copies.put(work)
 
         counts = {}
-        with ThreadPoolExecutor(workers) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             for module, lines in chosen.items():
                 found, _ = _found(module, lines)
                 verdict, seconds = job(module, _plain(module), None)
@@ -213,14 +214,11 @@ def main(argv=None):
                         help=f"modules or lines to mutate (default: {' '.join(MODULES)})")
     parser.add_argument("--list", action="store_true",
                         help="enumerate and compile the mutants without running tests")
-    parser.add_argument("--workers", type=int, default=2, help="parallel test runs (default 2)")
     args = parser.parse_args(argv)
     chosen = _select(args.targets)
     if args.list:
         return 0 if list_mutants(chosen) > 0 else 1
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    sweep(chosen, args.workers)
+    sweep(chosen)
     return 0
 
 
