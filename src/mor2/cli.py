@@ -35,6 +35,8 @@ PDE_PROBLEMS = ("ac1", "ac2", "rdc")
 ANALYTIC_PROBLEMS = ("phi1", "phi2", "phi3")
 METHODS = ("dynamic", "vanilla", "vector")
 ONLINE_REPEATS = 3      # reduced solves timed by solve; their median is reported
+# per stream: the offline report's columns and the manifest's selection entry
+SELECTION_FIELDS = ("phases", "n_s", "nu_l", "nu_r", "storage_floats")
 
 
 @dataclasses.dataclass
@@ -49,12 +51,12 @@ class RunConfig:
     tol: float = None          # inclusion tolerance; defaults to tau
     n_t: int = 300
     reference: bool = True
-    methods: tuple = ("dynamic",)
+    methods: tuple[str, ...] = ("dynamic",)
     override_memory_guard: bool = False
     eps1: float = None
     eps2: float = None
     test_times: int = 300
-    taus: tuple = (1e-2, 1e-3, 1e-4)
+    taus: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
 
     def __post_init__(self):
         if self.tol is None:
@@ -91,6 +93,7 @@ class RunConfig:
 
 
 def _coerce(name, kind, raw):
+    """raw as the field type kind; a tuple[T, ...] field takes comma-separated T."""
     raw = raw.strip()
     try:
         if kind is bool:
@@ -99,22 +102,15 @@ def _coerce(name, kind, raw):
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is tuple:
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if name == "taus":
-                return tuple(float(p) for p in parts)
-            return tuple(parts)
-        return raw
+        if getattr(kind, "__origin__", None) is tuple:
+            return tuple(kind.__args__[0](p.strip()) for p in raw.split(",") if p.strip())
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {name}={raw!r}") from exc
 
 
-def load_config(path=None, sets=()):
-    """Build a RunConfig from an optional file plus key=value overrides."""
+def load_config(path, sets):
+    """Build a RunConfig from a config file (None for none) plus key=value overrides."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
 
@@ -223,20 +219,11 @@ def cmd_funcapprox(cfg, out):
         else:
             vtimes = np.linspace(0.0, fn.t_final, cfg.kappa)
             vsource = fullsolve.AnalyticSource(fn, vtimes)
-            basis, rep = pod.vector_pod(vsource, cfg.tol, cfg.tau,
-                                        n_max=cfg.n_max, adaptive=False,
+            basis, rep = pod.vector_pod(vsource, cfg.tol, cfg.tau, n_max=cfg.n_max,
                                         override_guard=cfg.override_memory_guard)
         seconds = time.perf_counter() - tic
 
-        errs = []
-        for t in test_ts:
-            B = problems.sample_analytic(fn, t)
-            if method == "vector":
-                b = B.ravel(order="F")
-                e = np.linalg.norm(b - basis.V @ (basis.V.T @ b)) / np.linalg.norm(b)
-                errs.append(float(e))
-            else:
-                errs.append(pod.projection_error(B, basis))
+        errs = [pod.projection_error(problems.sample_analytic(fn, t), basis) for t in test_ts]
         rows.append([method, rep.phases_used, rep.n_s, *_widths(basis),
                      float(np.mean(errs))])
         timings[method] = {"basis_seconds": seconds}
@@ -271,9 +258,9 @@ def cmd_reduce(cfg, out):
     def row(name, basis, rep):
         return [name, rep.phases_used, rep.n_s, *_widths(basis), rep.peak_storage_floats]
 
-    header = ["stream", "phases", "n_s", "nu_l", "nu_r", "storage_floats"]
+    header = ["stream", *SELECTION_FIELDS]
     rows = [row("state", ubasis, urep), row("nonlinearity", fbasis, frep)]
-    selection = {r[0]: dict(zip(header[1:], r[1:])) for r in rows}
+    selection = {r[0]: dict(zip(SELECTION_FIELDS, r[1:])) for r in rows}
     for method in ("vanilla", "vector"):
         if method not in cfg.methods:
             continue
@@ -317,10 +304,20 @@ def cmd_reduce(cfg, out):
 # solve
 
 def _load_artifacts(cfg, out):
+    """The manifest's selection and timings, both bases and the interpolation operator."""
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():
         raise IntegrityError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    try:    # a manifest that is not a JSON object fails its first lookup with a TypeError
+        manifest = json.loads(manifest_path.read_text())
+        timings = manifest["timings"]
+        sel = {what: {k: manifest["selection"][what][k] for k in SELECTION_FIELDS}
+               for what in ("state", "nonlinearity")}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"corrupt manifest {manifest_path}: {exc!r}") from exc
+    if not all(type(v) is int for entry in sel.values() for v in entry.values()):
+        raise IntegrityError(f"corrupt manifest {manifest_path}: "
+                             "selection counts must be integers")
     if manifest.get("fingerprint") != _config_fingerprint(cfg):
         raise IntegrityError(
             "artifact manifest does not match the current configuration"
@@ -332,13 +329,12 @@ def _load_artifacts(cfg, out):
     fbasis, op = persist.read_basis(out / "f_basis.mor2bas")
     if op is None:
         raise IntegrityError("nonlinearity basis lacks its interpolation trailer")
-    return manifest, ubasis, fbasis, op
+    return sel, timings, ubasis, fbasis, op
 
 
 def cmd_solve(cfg, out):
     spec = _build_spec(cfg)
-    manifest, ubasis, fbasis, op = _load_artifacts(cfg, out)
-    sel = manifest["selection"]
+    sel, offline_timings, ubasis, fbasis, op = _load_artifacts(cfg, out)
     # the manifest fingerprint does not cover the basis files; check each against it
     params = (cfg.tau, cfg.kappa, pod.effective_n_max(cfg.n_max))
     for what, basis in (("state", ubasis), ("nonlinearity", fbasis)):
@@ -364,8 +360,7 @@ def cmd_solve(cfg, out):
     if cfg.reference:
         reference = ((t, U) for _, t, U in
                      fullsolve.iter_full(spec, grid, "etd"))
-        mean_err, per_node = rom.relative_errors(reference, traj,
-                                                 lambda Y: rom.lift(ubasis, Y))
+        mean_err, per_node = rom.relative_errors(reference, traj, ubasis)
 
     rows = [[
         "dynamic",
@@ -395,8 +390,8 @@ def cmd_solve(cfg, out):
     return {"timings": {
         "online_seconds_median": online_seconds,
         "online_seconds_all": [r.seconds for r in runs],
-        "per_step_seconds": online_seconds / max(grid.n_t, 1),
-        "offline": manifest["timings"],
+        "per_step_seconds": online_seconds / grid.n_t,
+        "offline": offline_timings,
     }}
 
 
@@ -460,7 +455,11 @@ def main(argv=None):
         if cfg.problem not in accepted:
             raise ConfigError(f"{args.command} expects problem in " + "/".join(accepted))
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use --out {out} as the output directory: "
+                              f"{exc.strerror}") from exc
         record = cmd(cfg, out)
         _write_json(out / "run_info.json", {
             "command": args.command, "config": dataclasses.asdict(cfg), **record,

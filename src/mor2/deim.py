@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import kernels, problems
-from .errors import DimensionError, RankError
-
-
-def qdeim_bound(n, p):
-    """A priori bound on ||(P^T V)^{-1}||_2 of greedy-pivot selection."""
-    return np.sqrt(n - p + 1.0) * np.sqrt((4.0**p + 6.0 * p - 1.0) / 3.0)
+from . import kernels
+from .errors import RankError
 
 
 def _lu_or_raise(M, what):
@@ -73,10 +68,9 @@ def build_deim(fbasis):
 
 def deim_operator(Vl, Wr, row_idx, col_idx):
     """The DeimOperator of a basis pair (Vl, Wr) at one index per basis column:
-    Pl^T Vl and Wr^T Pr, their LU factors and amplification constants."""
-    if len(row_idx) != Vl.shape[1] or len(col_idx) != Wr.shape[1]:
-        raise DimensionError(f"{len(row_idx)} x {len(col_idx)} interpolation points for "
-                             f"bases of width {Vl.shape[1]} and {Wr.shape[1]}")
+    Pl^T Vl and Wr^T Pr, their LU factors and amplification constants.
+    Both callers hold one index per column: build_deim by construction, and
+    persist.read_basis checks a stored trailer's counts first."""
     left = Vl[row_idx, :]
     right = Wr[col_idx, :].T
     lu_left = _lu_or_raise(left, "row")
@@ -105,7 +99,7 @@ class RomDeimFactors:
     Sr: np.ndarray       # (k2, p2) = Wr_U^T Pr, plain column selection
     row_idx: np.ndarray
     col_idx: np.ndarray
-    points: tuple = None  # problems.sample_points of the indices, once known
+    points: tuple = None  # problems.sample_points of the indices; rom.assemble_rom sets it
 
 
 def precompute_rom_factors(ubasis, fbasis, op):
@@ -131,12 +125,12 @@ def reduced_nonlinear(factors, spec, Y, t):
     (Z = Sl Y Sr), the nonlinearity is evaluated entrywise there, and the
     result is compressed by the precomputed factors:  Ml f(Z) Mr.  When the
     factors are folded into complex eigen-coordinates, Z is real up to
-    rounding and its real part is evaluated.  The grid coordinates of the
-    samples come from factors.points when the factors carry them.  The
-    products are the np.dot chains rom.run_online takes, so both round alike.
+    rounding and its real part is evaluated.  The factors are a ReducedModel's
+    (rom.assemble_rom), which carry the grid coordinates of the samples in
+    points.  The products are the np.dot chains rom.run_online takes, so both
+    round alike.
     """
     Z = np.dot(np.dot(factors.Sl, Y), factors.Sr)
     if np.iscomplexobj(Z):
         Z = Z.real
-    points = factors.points or problems.sample_points(spec, factors.row_idx, factors.col_idx)
-    return np.dot(np.dot(factors.Ml, spec.nonlinear(Z, *points, t)), factors.Mr)
+    return np.dot(np.dot(factors.Ml, spec.nonlinear(Z, *factors.points, t)), factors.Mr)

@@ -26,11 +26,7 @@ class SingularityError(Mor2Error):
 
 
 class DivergenceError(Mor2Error):
-    """Time integration produced non-finite values or blew up."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
+    """Time integration produced non-finite values or blew up; the message names the step."""
 
 
 class ConfigError(Mor2Error):

@@ -146,15 +146,13 @@ def _steps(spec, times, h, scheme, f_at_last=False):
             Uhat, U = kernels.etd_euler_update(prop, Uhat, F, h, out=U)
             F = None  # released before the next F is allocated
             if not np.all(np.isfinite(U)):
-                raise DivergenceError(
-                    f"non-finite state after step {i} (t = {t:.6g})", step=i
-                )
+                raise DivergenceError(f"non-finite state after step {i} (t = {t:.6g})")
         F = problems.eval_nonlinear(spec, U, t) if i < last or f_at_last else None
         if i > done:
             yield i, t, U, None, F
 
 
-def iter_full(spec, grid, scheme="imex"):
+def iter_full(spec, grid, scheme):
     """Yield (index, time, state) along the grid without storing the run.
 
     Above kernels.DENSE_SVD_MAX, in real coordinates, it steps as certified
@@ -169,7 +167,7 @@ def iter_full(spec, grid, scheme="imex"):
         yield i, t, U
 
 
-def trajectory_source(spec, times, scheme="imex"):
+def trajectory_source(spec, times, scheme):
     """Integrate over the given time nodes and expose snapshot sources.
 
     The nodes are the integration grid and must be equispaced: every step

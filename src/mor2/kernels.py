@@ -427,7 +427,7 @@ class Propagator:
     Sylvester equation.  The step factors are kept for the latest h only.
     """
 
-    def __init__(self, A, B, scheme="etd"):
+    def __init__(self, A, B, scheme):
         if scheme not in ("imex", "etd"):
             raise DimensionError(f"unknown scheme {scheme!r}")
         A = np.asarray(A, dtype=float)
@@ -555,22 +555,19 @@ def _schur_sylvester(T, S, C):
     return X / scale
 
 
-def etd_euler_update(prop, Uhat, F, h, out=None):
+def etd_euler_update(prop, Uhat, F, h, out):
     """One full-order step of the propagator prop from coordinates Uhat.
 
     F is the nonlinearity at the current state, in physical coordinates.
     Fhat = Qa^-1 F Qb, the Hadamard update of prop, and the new state
-    U = Qa Uhat Qb^-1, written into out when given (a real matrix; it may be
-    the state F was evaluated at).  With dense bases that is four n x n
+    U = Qa Uhat Qb^-1, written into out (a real matrix; it may be the state
+    F was evaluated at).  With dense bases that is four n x n
     products; a folded pair replaces them by eight half-size ones.  Uhat is
     advanced in place and the intermediates go to prop's scratch matrices P
     and R, laid out row- or column-major as the folds of the side that reads
-    them ask, so with out and real bases a step allocates nothing.
-    Returns (Uhat, U).
+    them ask, so with real bases a step allocates nothing.  Returns (Uhat, out).
     """
     P, R = prop.work((2,) + Uhat.shape, Uhat.dtype)
-    if out is None:
-        out = np.empty(Uhat.shape)
     if isinstance(prop.Qa, FoldedMatrix):
         # The same scratch memory viewed column-major, for the folds of B's side;
         # Qb^-1 goes first, so that the last butterfly writes rows of out.

@@ -14,7 +14,7 @@ error is already below tolerance ends the scan early.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,8 +193,11 @@ def projection_error(Xi, basis):
     snapshot scores 0.  For factors Xi = U S V^T the residual is the
     product [U S, -Vl C] [V, Wr]^T with C = Vl^T U S V^T Wr, and its norm
     comes from the singular values of that product (kernels.factored_svd),
-    in O(n (r + nu)^2) and without cancellation.
+    in O(n (r + nu)^2) and without cancellation.  A VectorBasis scores the
+    column-major stacking of Xi instead (_vector_error).
     """
+    if isinstance(basis, VectorBasis):
+        return _vector_error(np.ravel(Xi, order="F"), basis.V)
     if isinstance(Xi, kernels.SvdTriplet):
         if _is_zero(Xi):
             return 0.0
@@ -209,6 +212,14 @@ def projection_error(Xi, basis):
         return 0.0
     resid = Xi - basis.Vl @ (basis.Vl.T @ Xi @ basis.Wr) @ basis.Wr.T
     return float(np.linalg.norm(resid) / denom)
+
+
+def _vector_error(x, V):
+    """||x - V V^T x||_2 / ||x||_2 of a vectorized snapshot; 0 for a zero one."""
+    nrm = np.linalg.norm(x)
+    if nrm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(x - V @ (V.T @ x)) / nrm)
 
 
 def retained_count(s, tau, n_max):
@@ -252,14 +263,15 @@ def prune(acc, tau, n_max):
 
 @dataclass
 class SelectionReport:
-    """Bookkeeping of one snapshot-selection run."""
+    """Bookkeeping of one snapshot-selection run.  A run that takes every
+    nonzero snapshot (vanilla_pod, vector_pod with n_max) has no phases and
+    scores none."""
 
-    method: str
-    phases_used: int
     included_times: np.ndarray
-    evaluated_times: np.ndarray
-    per_time_error: np.ndarray
-    phase_mean_errors: list
+    phases_used: int = 0
+    evaluated_times: np.ndarray = field(default_factory=lambda: np.array([]))
+    per_time_error: np.ndarray = field(default_factory=lambda: np.array([]))
+    phase_mean_errors: list = field(default_factory=list)
     peak_storage_floats: int = 0
     seconds: float = 0.0
 
@@ -297,7 +309,7 @@ def _phased_selection(times, m, tol, score, include):
     is scored and included when its score exceeds tol, then rescored
     against the refreshed bases, so the stop test (phase mean of scores
     <= tol, once a node has joined) sees residuals, not the triggering
-    errors.  Returns a SelectionReport without method, storage or timing.
+    errors.  Returns a SelectionReport without storage or timing.
     """
     included = [times[0]] if include(0) else []
     evaluated, errors, phase_means = [], [], []
@@ -317,8 +329,7 @@ def _phased_selection(times, m, tol, score, include):
         if phase_means[-1] <= tol and included:
             break
     return SelectionReport(
-        method="", phases_used=len(phase_means),
-        included_times=np.array(included),
+        included_times=np.array(included), phases_used=len(phase_means),
         evaluated_times=np.array(evaluated),
         per_time_error=np.array(errors),
         phase_mean_errors=phase_means,
@@ -367,8 +378,7 @@ def dynamic_pod(source, tol, kappa, tau):
 
     report = _phased_selection(times, m, tol, score, include)
     basis = deliv if deliv is not None else prune(acc, tau, m)
-    return basis, replace(report, method="dynamic", peak_storage_floats=peak,
-                          seconds=time.perf_counter() - tic)
+    return basis, replace(report, peak_storage_floats=peak, seconds=time.perf_counter() - tic)
 
 
 def vanilla_update(Vl, Wr, Xi, kappa):
@@ -379,12 +389,8 @@ def vanilla_update(Vl, Wr, Xi, kappa):
     triangular factor) and keeps at most kappa directions per side.
     Returns (Vl, Wr, weights_l, weights_r); the weights are the singular
     values of the augmented reduction, used by the final tail truncation.
+    Xi is nonzero: vanilla_pod skips zero snapshots.
     """
-    Xi = np.asarray(Xi, dtype=float)
-    if np.linalg.norm(Xi) == 0.0:
-        sl = np.ones(0 if Vl is None else Vl.shape[1])
-        sr = np.ones(0 if Wr is None else Wr.shape[1])
-        return Vl, Wr, sl, sr
     trip = kernels.truncated_svd(Xi, min(kappa, min(Xi.shape)))
     keep = trip.S >= NEGLIGIBLE_REL * trip.S[0]
     root = np.sqrt(trip.S[keep])
@@ -430,14 +436,8 @@ def vanilla_pod(source, kappa, tau):
         singvals_l=sl[:nu_l].copy(), singvals_r=sr[:nu_r].copy(),
         tau=tau, n_max=m, kappa=kappa,
     )
-    report = SelectionReport(
-        method="vanilla", phases_used=0,
-        included_times=np.array(included),
-        evaluated_times=np.array([]), per_time_error=np.array([]),
-        phase_mean_errors=[], peak_storage_floats=peak,
-        seconds=time.perf_counter() - tic,
-    )
-    return basis, report
+    return basis, SelectionReport(np.array(included), peak_storage_floats=peak,
+                                  seconds=time.perf_counter() - tic)
 
 
 @dataclass(frozen=True)
@@ -445,10 +445,6 @@ class VectorBasis:
     """Orthonormal basis of vectorized snapshots (column-major stacking)."""
 
     V: np.ndarray
-    singvals: np.ndarray
-    shape: tuple
-    tau: float
-    n_max: int
 
     @property
     def k(self):
@@ -458,15 +454,16 @@ class VectorBasis:
 VECTOR_GUARD_DIM = 512
 
 
-def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False):
+def vector_pod(source, tol, tau, n_max=None, override_guard=False):
     """Vectorized single-basis baseline over the same three phases.
 
     Each included snapshot is stacked column-major into a tall snapshot
     matrix whose tau-truncated left singular basis doubles as the inclusion
     test space, mirroring the matrix route: a node joins when the truncated
-    basis misses it by more than tol.  Without adaptation every nonzero
-    snapshot is stacked and the stack takes one SVD; with it, each
-    inclusion takes one and the last serves the basis.
+    basis misses it by more than tol, and each inclusion takes one SVD, the
+    last of which serves the basis.  Given n_max, the run does not adapt:
+    every nonzero snapshot is stacked, the stack takes one SVD, and its tail
+    is truncated as for n_max snapshots.
     peak_storage_floats is the storage of the final stack and basis.
     Refuses matrices larger than VECTOR_GUARD_DIM per side unless
     override_guard is set, since storage grows with n^2 per snapshot.
@@ -478,10 +475,8 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
             f"guard ({VECTOR_GUARD_DIM}); pass override_memory_guard to force"
         )
     times = np.asarray(source.times, dtype=float)
-    if adaptive:
-        m = effective_n_max(len(times) if n_max is None else min(n_max, len(times)))
-    else:
-        m = len(times) if n_max is None else n_max
+    adaptive = n_max is None
+    m = effective_n_max(len(times)) if adaptive else n_max
     tic = time.perf_counter()
 
     cols = []
@@ -507,31 +502,18 @@ def vector_pod(source, tol, tau, n_max=None, adaptive=True, override_guard=False
 
     def score(i):
         xi = snapshot(i)
-        nrm = np.linalg.norm(xi)
-        if nrm == 0.0:
-            return 0.0
         if Vk is None:
-            return 1.0
-        return float(np.linalg.norm(xi - Vk @ (Vk.T @ xi)) / nrm)
+            return 0.0 if np.linalg.norm(xi) == 0.0 else 1.0
+        return _vector_error(xi, Vk)
 
     if adaptive:
         report = _phased_selection(times, m, tol, score, include)
     else:
-        included = [times[i] for i in range(len(times)) if include(i)]
-        report = SelectionReport(
-            method="", phases_used=0, included_times=np.array(included),
-            evaluated_times=np.array([]), per_time_error=np.array([]),
-            phase_mean_errors=[],
-        )
+        report = SelectionReport(np.array([times[i] for i in range(len(times)) if include(i)]))
 
     if not cols:
         raise DimensionError("vector selection never saw a nonzero snapshot")
     U, s = svd if adaptive else stack_svd()
-    k = retained_count(s, tau, m)
-    basis = VectorBasis(
-        V=_sign_normalize(U[:, :k].copy()), singvals=s[:k].copy(),
-        shape=shape, tau=tau, n_max=m,
-    )
+    basis = VectorBasis(_sign_normalize(U[:, :retained_count(s, tau, m)].copy()))
     peak = len(cols) * len(U) + basis.V.size   # the final stack and basis
-    return basis, replace(report, method="vector", peak_storage_floats=peak,
-                          seconds=time.perf_counter() - tic)
+    return basis, replace(report, peak_storage_floats=peak, seconds=time.perf_counter() - tic)

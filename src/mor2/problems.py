@@ -7,7 +7,7 @@ on the column (y) index.  F is evaluated entrywise, which is what makes the
 sampled reduction of the nonlinearity possible downstream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -15,20 +15,25 @@ import numpy as np
 from .errors import ConfigError, DimensionError, InputError
 
 
-def grid_1d(n, bc, a=0.0, b=1.0):
+# Intervals between the nodes on [a, b] per closure, less the node count.
+_INTERVALS = {"dirichlet": 1, "neumann": -1, "periodic": 0}
+
+
+def _spacing(n, bc, a, b):
+    if bc not in _INTERVALS:
+        raise ConfigError(f"unknown boundary condition {bc!r}")
+    return (b - a) / (n + _INTERVALS[bc])
+
+
+def grid_1d(n, bc, a, b):
     """Node coordinates matching the boundary treatment of build_laplacian_1d."""
-    if bc == "dirichlet":
-        h = (b - a) / (n + 1)
-        return a + h * np.arange(1, n + 1)
     if bc == "neumann":
         return np.linspace(a, b, n)
-    if bc == "periodic":
-        h = (b - a) / n
-        return a + h * np.arange(n)
-    raise ConfigError(f"unknown boundary condition {bc!r}")
+    first = 1 if bc == "dirichlet" else 0     # dirichlet drops the left wall
+    return a + _spacing(n, bc, a, b) * np.arange(first, first + n)
 
 
-def build_laplacian_1d(n, bc, a=0.0, b=1.0, coeff=1.0):
+def build_laplacian_1d(n, bc, a, b, coeff):
     """Second-difference matrix on [a, b] with the given boundary closure.
 
     dirichlet: n interior nodes, h = (b-a)/(n+1), homogeneous values dropped.
@@ -39,16 +44,8 @@ def build_laplacian_1d(n, bc, a=0.0, b=1.0, coeff=1.0):
     """
     if n < 3:
         raise DimensionError("need at least three nodes")
+    h = _spacing(n, bc, a, b)
     L = np.zeros((n, n))
-    if bc == "dirichlet":
-        h = (b - a) / (n + 1)
-    elif bc == "neumann":
-        h = (b - a) / (n - 1)
-    elif bc == "periodic":
-        h = (b - a) / n
-    else:
-        raise ConfigError(f"unknown boundary condition {bc!r}")
-
     idx = np.arange(n)
     L[idx, idx] = -2.0
     L[idx[:-1], idx[:-1] + 1] = 1.0
@@ -62,13 +59,13 @@ def build_laplacian_1d(n, bc, a=0.0, b=1.0, coeff=1.0):
     return (coeff / h**2) * L
 
 
-def build_first_derivative_1d(n, a=0.0, b=1.0):
+def build_first_derivative_1d(n, a, b):
     """Centered first-difference matrix on the Neumann node layout.
 
     Under the zero-slope ghost closure the boundary rows vanish identically,
     which is consistent with the boundary condition they encode.
     """
-    h = (b - a) / (n - 1)
+    h = _spacing(n, "neumann", a, b)
     D = np.zeros((n, n))
     idx = np.arange(1, n - 1)
     D[idx, idx + 1] = 0.5 / h
@@ -88,8 +85,7 @@ class ProblemSpec:
     nonlinear: Callable
     grid_x: np.ndarray
     grid_y: np.ndarray
-    bc: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
 def eval_nonlinear(spec, U, t):
@@ -158,9 +154,9 @@ def build_problem(name, n, **params):
         B = A.copy()
         U0 = 0.05 * np.outer(np.sin(x), np.cos(x))
         spec = ProblemSpec(
-            name="ac1", A=A, B=B, U0=U0, t_final=params.pop("t_final", 5.0),
+            name="ac1", A=A, B=B, U0=U0, t_final=5.0,
             nonlinear=_cubic_double_well(eps2), grid_x=x, grid_y=x.copy(),
-            bc=bc, params={"eps1": eps1, "eps2": eps2},
+            params={"eps1": eps1, "eps2": eps2},
         )
     elif name == "ac2":
         eps1 = params.pop("eps1", 1.0)
@@ -173,9 +169,9 @@ def build_problem(name, n, **params):
         R = np.sqrt(x[:, None] ** 2 + x[None, :] ** 2)
         U0 = np.tanh((0.4 - R) / (np.sqrt(2.0) * eps2))
         spec = ProblemSpec(
-            name="ac2", A=A, B=B, U0=U0, t_final=params.pop("t_final", 0.075),
+            name="ac2", A=A, B=B, U0=U0, t_final=0.075,
             nonlinear=_cubic_double_well(eps2), grid_x=x, grid_y=x.copy(),
-            bc=bc, params={"eps1": eps1, "eps2": eps2},
+            params={"eps1": eps1, "eps2": eps2},
         )
     elif name == "rdc":
         eps1 = params.pop("eps1", 0.5)
@@ -186,9 +182,9 @@ def build_problem(name, n, **params):
         B = A.T.copy()
         U0 = 0.3 + 256.0 * (x[:, None] * (1.0 - x[:, None]) * x[None, :] * (1.0 - x[None, :])) ** 2
         spec = ProblemSpec(
-            name="rdc", A=A, B=B, U0=U0, t_final=params.pop("t_final", 0.3),
+            name="rdc", A=A, B=B, U0=U0, t_final=0.3,
             nonlinear=_bistable, grid_x=x, grid_y=x.copy(),
-            bc=bc, params={"eps1": eps1},
+            params={"eps1": eps1},
         )
     else:
         raise ConfigError(f"unknown problem {name!r}")
@@ -204,7 +200,6 @@ def build_problem(name, n, **params):
 class AnalyticFunction:
     """A scalar function of (x1, x2, t) sampled on an n x n tensor grid."""
 
-    name: str
     func: Callable
     x1_range: tuple
     x2_range: tuple
@@ -254,7 +249,7 @@ def analytic_function(name, n, **params):
     if params:
         raise ConfigError(f"unused problem parameters: {sorted(params)}")
     func, x1r, x2r, tf = _ANALYTIC[name]
-    return AnalyticFunction(name, func, x1r, x2r, tf, n)
+    return AnalyticFunction(func, x1r, x2r, tf, n)
 
 
 def sample_analytic(fn, t):

@@ -109,9 +109,7 @@ def run_online(model, grid):
         if not np.vdot(Yhat, Yhat).real <= limit:
             nrm = np.linalg.norm(prop.to_physical(Yhat))
             if not nrm <= BLOWUP_NORM:
-                raise DivergenceError(
-                    f"reduced state blew up at step {i} (||Y||_F = {nrm:.3e})", step=i
-                )
+                raise DivergenceError(f"reduced state blew up at step {i} (||Y||_F = {nrm:.3e})")
     if complex_coords or isinstance(prop.Qa, kernels.FoldedMatrix):
         coords = prop.to_physical(coords)
     else:
@@ -126,30 +124,33 @@ def lift(ubasis, Y):
     return ubasis.Vl @ Y @ ubasis.Wr.T
 
 
-def relative_errors(reference, romtraj, lift):
-    """Relative Frobenius errors of a lifted reduced trajectory.
+def relative_errors(reference, romtraj, ubasis):
+    """Relative Frobenius errors of a reduced trajectory lifted by ubasis.
 
-    reference is any iterable of (t, U): a stored Trajectory or a streamed
-    reference solve, consumed node by node.  Each node after the first is
-    matched by time to a node of romtraj and scored
-    ||U - lift(Y)|| / ||U||; zero-norm and unmatched nodes are skipped.
-    The mean is accumulated in node order.  Returns (mean, [(t, error)]).
+    reference is any iterable of (t, U) on romtraj's nodes: a stored
+    Trajectory or a streamed reference solve, consumed node by node.  Its
+    node i after the first is scored against node i of romtraj,
+    ||U - lift(ubasis, Y)|| / ||U||; zero-norm nodes are skipped.  Other
+    times, or another node count, are a DimensionError.  The mean is
+    accumulated in node order.  Returns (mean, [(t, error)]).
     """
     times = romtraj.times
-    span = max(abs(times[-1] - times[0]), 1e-300)
     total = 0.0
     per_node = []
+    count = 0
     for i, (t, U) in enumerate(reference):
+        if i >= len(times) or t != times[i]:
+            raise DimensionError(f"reference node {i} at t = {t} is not a node of the reduced run")
+        count = i + 1
         if i == 0:
             continue
-        j = int(np.argmin(np.abs(times - t)))
         nrm = np.linalg.norm(U)
-        if nrm == 0.0 or abs(times[j] - t) > 1e-9 * span:
+        if nrm == 0.0:
             continue
-        e = float(np.linalg.norm(U - lift(romtraj.states[j])) / nrm)
+        e = float(np.linalg.norm(U - lift(ubasis, romtraj.states[i])) / nrm)
         per_node.append((float(t), e))
         total += e
-    if not per_node:
-        raise DimensionError("reference and reduced trajectories share no usable nodes")
+    if count != len(times) or not per_node:
+        raise DimensionError(f"reference has {count} of the reduced run's {len(times)} nodes, "
+                             f"{len(per_node)} of them usable")
     return total / len(per_node), per_node
-

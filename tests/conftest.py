@@ -81,8 +81,7 @@ def make_spec(A, B, U0, nonlinear=None, t_final=1.0):
     return problems.ProblemSpec(
         name="synthetic", A=A, B=B, U0=U0, t_final=t_final,
         nonlinear=nonlinear, grid_x=np.arange(A.shape[0], dtype=float),
-        grid_y=np.arange(B.shape[0], dtype=float), bc="dirichlet",
-        params={},
+        grid_y=np.arange(B.shape[0], dtype=float), params={},
     )
 
 
@@ -142,7 +141,7 @@ def full_step(spec, U, t, h, scheme):
     """One full-order step through a Propagator, from and to physical coordinates."""
     prop = kernels.Propagator(spec.A, spec.B, scheme)
     F = problems.eval_nonlinear(spec, U, t)
-    return kernels.etd_euler_update(prop, prop.to_coords(U), F, h)[1]
+    return kernels.etd_euler_update(prop, prop.to_coords(U), F, h, np.empty(U.shape))[1]
 
 
 def reduced_step(model, Y, t, h):

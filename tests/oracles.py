@@ -54,6 +54,11 @@ def jacobi_svd(M, sweeps=60, tol=1e-14):
     return U, s, V
 
 
+def qdeim_bound(n, p):
+    """A priori bound on ||(P^T V)^{-1}||_2 of greedy-pivot selection."""
+    return np.sqrt(n - p + 1.0) * np.sqrt((4.0**p + 6.0 * p - 1.0) / 3.0)
+
+
 def greedy_pivot_oracle(Bt):
     """Residual-norm greedy column selection, ties to the lowest index.
 

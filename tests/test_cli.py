@@ -120,6 +120,16 @@ def test_main_maps_config_error_to_exit_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "below"):
+        assert cli.main(argv("reduce", AC1_SETS, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot use --out") and str(out) in err
+    assert taken.read_text() == "kept\n"
+
+
 def test_seed_is_refused_in_files_and_as_a_flag(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("problem=ac1\nseed=0\n")
@@ -238,6 +248,24 @@ def test_solve_rejects_fingerprint_mismatch(artifacts, tmp_path, capsys):
     assert "artifact error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corruption", ["not JSON", "no selection", "a count as text"])
+def test_solve_refuses_a_corrupt_manifest(artifacts, tmp_path, capsys, corruption):
+    work = tmp_path / "corrupt"
+    shutil.copytree(artifacts, work)
+    path = work / "manifest.json"
+    if corruption == "not JSON":
+        path.write_text(path.read_text()[:-20])
+    else:
+        manifest = json.loads(path.read_text())
+        if corruption == "no selection":
+            del manifest["selection"]
+        else:       # summed into solve_report.csv
+            manifest["selection"]["state"]["storage_floats"] = "100"
+        path.write_text(json.dumps(manifest))
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    assert capsys.readouterr().err.startswith("artifact error: corrupt manifest")
+
+
 def test_solve_rejects_missing_artifact(artifacts, tmp_path, capsys):
     work = tmp_path / "partial"
     shutil.copytree(artifacts, work)
@@ -302,6 +330,18 @@ def test_solve_rejects_a_nonlinearity_basis_without_its_trailer(artifacts, tmp_p
     persist.write_basis(path, fbasis)
     assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
     assert "lacks its interpolation trailer" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_trailer_cut_inside_its_point_counts(artifacts, tmp_path, capsys):
+    work = tmp_path / "cuttrailer"
+    shutil.copytree(artifacts, work)
+    path = work / "f_basis.mor2bas"
+    fbasis, _ = persist.read_basis(path)
+    (n, k1), (m, k2) = fbasis.Vl.shape, fbasis.Wr.shape
+    trailer = 9 + 8 + 8 * n * k1 + 8 + 8 * m * k2 + 8 * (k1 + k2) + 16
+    path.write_bytes(path.read_bytes()[:trailer + 3])
+    assert cli.main(argv("solve", AC1_SETS + ["n_t=20"], work)) == 4
+    assert "truncated interpolation trailer" in capsys.readouterr().err
 
 
 def test_solve_rejects_oversized_basis_header(artifacts, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from conftest import identity_basis, make_spec, offline_pipeline
 from mor2 import deim, fullsolve, pod, problems
-from mor2.errors import DimensionError, RankError
+from mor2.errors import RankError
 
 
 def random_basis_pair(rng, n, k1, k2, symmetric=False):
@@ -16,6 +16,12 @@ def random_basis_pair(rng, n, k1, k2, symmetric=False):
         singvals_l=np.ones(k1), singvals_r=np.ones(k2),
         tau=1e-3, n_max=8, kappa=max(k1, k2), symmetric=symmetric,
     )
+
+
+def with_points(factors, spec):
+    """The factors with the grid coordinates of their samples, as
+    rom.assemble_rom sets them on the folded ones."""
+    return replace(factors, points=problems.sample_points(spec, factors.row_idx, factors.col_idx))
 
 
 def canonical_basis_pair(n, p):
@@ -30,9 +36,9 @@ def canonical_basis_pair(n, p):
 # ------------------------------------------------------------------ qdeim_bound
 
 def test_qdeim_bound_values():
-    assert np.isclose(deim.qdeim_bound(10, 1), np.sqrt(30.0))
-    assert np.isclose(deim.qdeim_bound(5, 2), 6.0)
-    grows = [deim.qdeim_bound(20, p) for p in range(1, 6)]
+    assert np.isclose(oracles.qdeim_bound(10, 1), np.sqrt(30.0))
+    assert np.isclose(oracles.qdeim_bound(5, 2), 6.0)
+    grows = [oracles.qdeim_bound(20, p) for p in range(1, 6)]
     assert all(a < b for a, b in zip(grows, grows[1:]))
 
 
@@ -105,22 +111,11 @@ def test_build_deim_selection_amplification():
     assert np.allclose(op.right_factor, basis.Wr[op.col_idx, :].T)
     assert np.isclose(op.c_l, 1.0 / np.linalg.svd(op.left_factor, compute_uv=False)[-1])
     assert op.c_l >= 1.0 and op.c_r >= 1.0
-    assert op.c_l <= deim.qdeim_bound(20, op.p1)
-    assert op.c_r <= deim.qdeim_bound(20, op.p2)
+    assert op.c_l <= oracles.qdeim_bound(20, op.p1)
+    assert op.c_r <= oracles.qdeim_bound(20, op.p2)
 
 
 # ------------------------------------------------------------- deim_approximate
-
-def test_deim_operator_refuses_point_counts_off_the_basis_widths():
-    basis = uneven_symmetric_stream_basis()
-    rows = deim.build_deim(basis).row_idx
-    with pytest.raises(DimensionError, match="4 x 4 interpolation points"):
-        deim.deim_operator(basis.Vl, basis.Wr, rows, rows)
-    with pytest.raises(DimensionError):
-        deim.build_deim(replace(basis, symmetric=True))
-    with pytest.raises(DimensionError):
-        deim.deim_operator(basis.Vl, basis.Wr, rows[:3], rows[:2])
-
 
 @pytest.mark.parametrize("side", ["row", "column"])
 def test_deim_operator_refuses_a_singular_selection(side):
@@ -193,8 +188,8 @@ def test_deim_bound_on_smooth_function_family():
     src = fullsolve.AnalyticSource(fn, times)
     basis, _ = pod.dynamic_pod(src, 1e-4, 30, 1e-4)
     op = deim.build_deim(basis)
-    assert op.c_l <= deim.qdeim_bound(500, op.p1)
-    assert op.c_r <= deim.qdeim_bound(500, op.p2)
+    assert op.c_l <= oracles.qdeim_bound(500, op.p1)
+    assert op.c_r <= oracles.qdeim_bound(500, op.p2)
 
 
 # --------------------------------------------------------- reduced-model factors
@@ -234,7 +229,8 @@ def test_reduced_nonlinear_zero_rhs():
     fbasis = random_basis_pair(rng, 6, 2, 2)
     op = deim.build_deim(fbasis)
     factors = deim.precompute_rom_factors(ubasis, fbasis, op)
-    out = deim.reduced_nonlinear(factors, spec, rng.standard_normal((3, 2)), 0.0)
+    Y = rng.standard_normal((3, 2))
+    out = deim.reduced_nonlinear(with_points(factors, spec), spec, Y, 0.0)
     assert out.shape == (3, 2)
     assert np.allclose(out, 0.0, atol=1e-13)
 
@@ -246,7 +242,7 @@ def test_reduced_nonlinear_at_cubic_roots():
     basis = identity_basis(8)
     op = deim.build_deim(basis)
     factors = deim.precompute_rom_factors(basis, basis, op)
-    out = deim.reduced_nonlinear(factors, spec, np.ones((8, 8)), 0.0)
+    out = deim.reduced_nonlinear(with_points(factors, spec), spec, np.ones((8, 8)), 0.0)
     assert np.allclose(out, 0.0, atol=1e-13)
 
 
@@ -257,7 +253,7 @@ def test_reduced_nonlinear_scalar_pipeline():
     basis = identity_basis(1)
     op = deim.build_deim(basis)
     factors = deim.precompute_rom_factors(basis, basis, op)
-    out = deim.reduced_nonlinear(factors, spec, np.array([[3.0]]), 0.25)
+    out = deim.reduced_nonlinear(with_points(factors, spec), spec, np.array([[3.0]]), 0.25)
     assert np.allclose(out, [[9.25]], atol=1e-13)
 
 
@@ -274,7 +270,7 @@ def test_reduced_nonlinear_matches_dense_assembly(ac1_64):
         U = ubasis.Vl @ Y @ ubasis.Wr.T
         F = problems.eval_nonlinear(spec, U, 0.0)
         dense = ubasis.Vl.T @ deim.deim_approximate(op, fbasis, F) @ ubasis.Wr
-        fast = deim.reduced_nonlinear(factors, spec, Y, 0.0)
+        fast = deim.reduced_nonlinear(with_points(factors, spec), spec, Y, 0.0)
         assert np.linalg.norm(fast - dense) <= 1e-10 * max(np.linalg.norm(dense), 1.0)
 
 
@@ -292,7 +288,7 @@ def test_reduced_nonlinear_accuracy_near_training_states(rdc_64):
         t = rdc_64["state_src"].times[i]
         exact = ubasis.Vl.T @ problems.eval_nonlinear(
             spec, ubasis.Vl @ Y @ ubasis.Wr.T, t) @ ubasis.Wr
-        fast = deim.reduced_nonlinear(factors, spec, Y, t)
+        fast = deim.reduced_nonlinear(with_points(factors, spec), spec, Y, t)
         worst = max(worst, np.linalg.norm(fast - exact) / np.linalg.norm(exact))
     assert worst <= 1e-2
 
@@ -307,7 +303,7 @@ def test_vector_and_matrix_routes_comparable_accuracy():
     src = fullsolve.AnalyticSource(fn, times)
     mbasis, _ = pod.vanilla_pod(src, 20, 1e-4)
     mop = deim.build_deim(mbasis)
-    vbasis, _ = pod.vector_pod(src, 1e-4, 1e-4, adaptive=False)
+    vbasis, _ = pod.vector_pod(src, 1e-4, 1e-4, n_max=len(times))
     vinterp = oracles.vector_deim(vbasis.V)
 
     rng = np.random.default_rng(124)

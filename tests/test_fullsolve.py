@@ -159,22 +159,21 @@ def test_trajectory_source_contents():
 def test_trajectory_source_requires_increasing_times():
     spec = make_spec([[-1.0]], [[-1.0]], [[1.0]])
     with pytest.raises(DimensionError):
-        fullsolve.trajectory_source(spec, np.array([0.0, 0.5, 0.4]))
+        fullsolve.trajectory_source(spec, np.array([0.0, 0.5, 0.4]), "imex")
     with pytest.raises(DimensionError):
-        fullsolve.trajectory_source(spec, np.array([0.0, 0.0, 1.0]))
+        fullsolve.trajectory_source(spec, np.array([0.0, 0.0, 1.0]), "imex")
     with pytest.raises(DimensionError):
-        fullsolve.trajectory_source(spec, np.array([0.0, 0.1, 0.3]))
+        fullsolve.trajectory_source(spec, np.array([0.0, 0.1, 0.3]), "imex")
     with pytest.raises(DimensionError):
-        fullsolve.trajectory_source(spec, np.array([0.0, 0.0]))
+        fullsolve.trajectory_source(spec, np.array([0.0, 0.0]), "imex")
 
 
 def test_divergence_raises_with_step_index():
     spec = make_spec([[0.0]], [[0.0]], [[2.0]],
                      nonlinear=lambda U, X, Y, t: U**3, t_final=20.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError, match=r"non-finite state after step \d+ "):
             run_full(spec, fullsolve.TimeGrid(20.0, 20), scheme="imex")
-    assert err.value.step is not None
 
 
 def test_stepper_fallback_for_defective_operator():
@@ -288,7 +287,7 @@ def test_divergence_step_index_matches_legacy():
             with pytest.raises(DivergenceError) as err:
                 run_full(spec, grid, scheme=scheme)
         assert 1 < len(ref) - 1 < grid.n_t      # the legacy run diverged mid-run
-        assert err.value.step == len(ref) - 1
+        assert f"after step {len(ref) - 1} (" in str(err.value)
 
 
 # ------------------------------------------------------ the factored snapshot run

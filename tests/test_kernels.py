@@ -465,7 +465,8 @@ def test_sylvester_overlapping_spectra():
 
 def exp_step(prop, h, M):
     """e^{hA} M e^{hB}: one etd step of prop = Propagator(A, B) at F = 0."""
-    _, U = kernels.etd_euler_update(prop, prop.to_coords(M), np.zeros_like(M), h)
+    _, U = kernels.etd_euler_update(prop, prop.to_coords(M), np.zeros_like(M), h,
+                                    np.empty(M.shape))
     return U
 
 
@@ -474,12 +475,12 @@ def test_expm_apply_zero_step():
     A = rng.standard_normal((5, 5))
     A = A + A.T
     M = rng.standard_normal((5, 3))
-    out = exp_step(kernels.Propagator(A, np.zeros((3, 3))), 0.0, M)
+    out = exp_step(kernels.Propagator(A, np.zeros((3, 3)), "etd"), 0.0, M)
     assert np.allclose(out, M, atol=1e-12)
 
 
 def test_expm_apply_diagonal_log2():
-    prop = kernels.Propagator(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+    prop = kernels.Propagator(np.diag([1.0, -1.0]), np.zeros((2, 2)), "etd")
     out = exp_step(prop, np.log(2.0), np.eye(2))
     assert np.allclose(out, np.diag([2.0, 0.5]), atol=1e-12)
 
@@ -491,11 +492,11 @@ def test_expm_apply_matches_pade_oracle():
         S = rng.standard_normal((8, 8))
         S = 0.5 * (S + S.T)
         h = 0.3
-        out = exp_step(kernels.Propagator(S, zero), h, np.eye(8))
+        out = exp_step(kernels.Propagator(S, zero, "etd"), h, np.eye(8))
         assert np.allclose(out, oracles.pade_expm(h * S), atol=1e-10)
 
         G = rng.standard_normal((8, 8))
-        out = exp_step(kernels.Propagator(G, zero), h, np.eye(8))
+        out = exp_step(kernels.Propagator(G, zero, "etd"), h, np.eye(8))
         ref = oracles.pade_expm(h * G)
         assert np.linalg.norm(out - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -505,7 +506,7 @@ def test_expm_apply_right_side():
     B = rng.standard_normal((4, 4))
     B = B + B.T
     M = rng.standard_normal((6, 4))
-    out = exp_step(kernels.Propagator(np.zeros((6, 6)), B), 0.2, M)
+    out = exp_step(kernels.Propagator(np.zeros((6, 6)), B, "etd"), 0.2, M)
     assert np.allclose(out, M @ oracles.pade_expm(0.2 * B), atol=1e-10)
 
 
@@ -513,7 +514,7 @@ def test_expm_apply_semigroup():
     rng = np.random.default_rng(54)
     A = rng.standard_normal((6, 6))
     A = A + A.T
-    prop = kernels.Propagator(A, np.zeros((6, 6)))
+    prop = kernels.Propagator(A, np.zeros((6, 6)), "etd")
     M = np.eye(6)
     once = exp_step(prop, 0.7, M)
     twice = exp_step(prop, 0.3, exp_step(prop, 0.4, M))
@@ -576,7 +577,7 @@ def test_phi1_matches_block_oracle():
 
 def _step(prop, U, F, h):
     """One full step of prop from and to physical coordinates."""
-    return kernels.etd_euler_update(prop, prop.to_coords(U), F, h)[1]
+    return kernels.etd_euler_update(prop, prop.to_coords(U), F, h, np.empty(U.shape))[1]
 
 
 def test_etd_update_scalar_closed_form():
@@ -669,7 +670,7 @@ def test_dense_etd_step_flushes_subnormal_step_factors():
     rng = np.random.default_rng(67)
     U, F = rng.standard_normal((2, 512, 512))
     Uhat = prop.to_coords(U)
-    _, got = kernels.etd_euler_update(prop, Uhat.copy(), F, h)
+    _, got = kernels.etd_euler_update(prop, Uhat.copy(), F, h, np.empty(F.shape))
     E = prop._factors(h)[0]
     assert not np.any((E != 0.0) & (np.abs(E) < tiny))
     # the unflushed update, with etd_euler_update's products and association
@@ -786,7 +787,7 @@ def _centrosymmetric(kind, n, rng):
     if kind == "random":
         M = 0.5 * rng.standard_normal((n, n))
         return M + M[::-1, ::-1]
-    return problems.build_laplacian_1d(n, kind, coeff=0.02)
+    return problems.build_laplacian_1d(n, kind, 0.0, 1.0, 0.02)
 
 
 def _check_folded(A, B, scheme, fold_a, fold_b):

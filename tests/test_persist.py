@@ -125,6 +125,18 @@ def test_basis_read_rejects_truncated_trailer(tmp_path):
         persist.read_basis(path)
 
 
+@pytest.mark.parametrize("kept", range(1, 8))
+def test_basis_read_rejects_a_trailer_cut_inside_its_point_counts(tmp_path, kept):
+    rng = np.random.default_rng(165)
+    basis = sample_basis(rng)
+    persist.write_basis(tmp_path / "x.bin", basis, deim.build_deim(basis))
+    start = _trailer_offset(basis) - 8      # p1 u32 | p2 u32 open the trailer
+    raw = (tmp_path / "x.bin").read_bytes()
+    (tmp_path / "x.bin").write_bytes(raw[:start + kept])
+    with pytest.raises(IntegrityError, match="truncated interpolation trailer"):
+        persist.read_basis(tmp_path / "x.bin")
+
+
 def test_basis_read_rejects_trailing_bytes_after_trailer(tmp_path):
     rng = np.random.default_rng(163)
     basis = sample_basis(rng)

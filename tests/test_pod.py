@@ -433,20 +433,11 @@ def test_vanilla_update_no_growth_in_span():
     assert np.linalg.norm(Vl2 @ Vl2.T - P1) <= 1e-10
 
 
-def test_vanilla_update_zero_snapshot():
-    rng = np.random.default_rng(97)
-    X = rng.standard_normal((6, 6))
-    Vl, Wr, _, _ = pod.vanilla_update(None, None, X, 5)
-    Vl2, Wr2, _, _ = pod.vanilla_update(Vl, Wr, np.zeros((6, 6)), 5)
-    assert Vl2 is Vl and Wr2 is Wr
-
-
 def test_vanilla_pod_rank_one_stream():
     rng = np.random.default_rng(98)
     u, w = rng.standard_normal(7), rng.standard_normal(7)
     mats = [c * np.outer(u, w) for c in (1.0, 0.5, -0.2, 0.8)]
     basis, report = pod.vanilla_pod(source_from(mats), 10, 1e-3)
-    assert report.method == "vanilla"
     assert basis.nu_l == 1 and basis.nu_r == 1
     assert pod.projection_error(np.outer(u, w), basis) <= 1e-10
     assert report.n_s == 4
@@ -478,9 +469,7 @@ def test_vector_pod_constant_stream():
     rng = np.random.default_rng(101)
     X = rng.standard_normal((6, 6))
     basis, report = pod.vector_pod(source_from([X] * 8), 1e-3, 1e-3)
-    assert report.method == "vector"
     assert basis.k == 1
-    assert basis.shape == (6, 6)
     x = X.ravel(order="F")
     resid = x - basis.V @ (basis.V.T @ x)
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(x)
@@ -509,12 +498,16 @@ def test_vector_pod_zero_seed_recovers():
     assert basis.k == 1
     x = X.ravel(order="F")
     assert np.linalg.norm(x - basis.V @ (basis.V.T @ x)) <= 1e-10 * np.linalg.norm(x)
+    # projection_error scores the stacked snapshot; a zero one scores 0
+    assert pod.projection_error(X, basis) <= 1e-10
+    assert pod.projection_error(np.zeros((5, 5)), basis) == 0.0
 
 
 @pytest.mark.parametrize("adaptive", [True, False])
 def test_vector_pod_refuses_an_all_zero_stream(adaptive):
     with pytest.raises(DimensionError, match="never saw a nonzero snapshot"):
-        pod.vector_pod(source_from([np.zeros((4, 4))] * 8), 1e-3, 1e-3, adaptive=adaptive)
+        pod.vector_pod(source_from([np.zeros((4, 4))] * 8), 1e-3, 1e-3,
+                       n_max=None if adaptive else 8)
 
 
 def test_vector_pod_memory_guard():
@@ -530,7 +523,7 @@ def test_vector_pod_memory_guard():
 def test_vector_pod_non_adaptive_takes_all():
     rng = np.random.default_rng(103)
     mats = [rng.standard_normal((4, 4)) for _ in range(5)]
-    basis, report = pod.vector_pod(source_from(mats), 1e-3, 1e-8, adaptive=False)
+    basis, report = pod.vector_pod(source_from(mats), 1e-3, 1e-8, n_max=len(mats))
     assert report.n_s == 5
     assert report.phases_used == 0
     stack = np.column_stack([M.ravel(order="F") for M in mats])
@@ -549,7 +542,7 @@ def test_vector_pod_non_adaptive_takes_one_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    basis, report = pod.vector_pod(source_from(mats), 1e-3, 1e-8, adaptive=False)
+    basis, report = pod.vector_pod(source_from(mats), 1e-3, 1e-8, n_max=len(mats))
     assert calls == [(16, 5)]
     assert report.peak_storage_floats == 16 * 5 + basis.V.size
 
