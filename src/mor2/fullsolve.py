@@ -12,9 +12,10 @@ kept in eigen-coordinates of A and B, so a dense step costs four n x n
 multiplications (F mapped in, the state mapped out) plus a Hadamard update.
 Above kernels.DENSE_SVD_MAX, in real coordinates, the state and F are kept
 as certified low-rank factors instead, with n x r maps and the step applied
-as the coordinate matrix is formed.  The snapshot run and the reference
-solve (iter_full) share one stepping loop, _steps, which goes on densely
-from the first compression that is not certified.
+as the coordinate matrix is formed, every n x n pass by row blocks.  The
+snapshot run and the reference solve (iter_full) share one stepping loop,
+_steps, which goes on densely from the first compression that is not
+certified.
 A pair of even-size centrosymmetric operators (J A J = A, as the Dirichlet
 and periodic Laplacians are) with real eigenbases in their halves is folded:
 each eigenproblem splits into two half-size ones, and each multiplication
@@ -103,7 +104,8 @@ def _steps(spec, times, h, scheme, f_at_last=False):
     F is evaluated once per node, for the step that leaves it, and at the
     last node only when f_at_last asks for it (None there otherwise).  On
     the factored route factors is (L, R) with U = L R^T (None at node 0)
-    and F an SvdTriplet; a step maps F's factors in, forms the stepped
+    and F an SvdTriplet.  U and F(U), into one buffer kept for the run, are
+    formed by row blocks; a step maps F's factors in, forms the stepped
     coordinate matrix (advance_factors), compresses it warm-started from
     the last one's row space (F from the last F's) and maps its factors
     out.  From the first compression that kernels.compress does not
@@ -119,14 +121,17 @@ def _steps(spec, times, h, scheme, f_at_last=False):
     trip = kernels.compress(U) if real and min(U.shape) > kernels.DENSE_SVD_MAX else None
     if trip is not None:
         Lc, Rc = prop.map_factors(trip.U * trip.S, trip.V)
-        factors, start_u, start_f = None, None, None
+        factors, start_u, start_f, F = None, None, None, np.empty_like(U)
         for first, t in enumerate(times):
             if first > 0:
                 factors = prop.map_factors(Lc, Rc, out=True)
-                np.matmul(factors[0], factors[1].T, out=U)
             f_due = first < last or f_at_last
-            ftrip = (kernels.compress(problems.eval_nonlinear(spec, U, t), start_f)
-                     if f_due else None)
+            for rows in kernels.row_blocks(len(U)):
+                if factors is not None:
+                    np.matmul(factors[0][rows], factors[1].T, out=U[rows])
+                if f_due:
+                    F[rows] = problems.eval_nonlinear_at(spec, U[rows], rows, slice(None), t)
+            ftrip = kernels.compress(F, start_f) if f_due else None
             if f_due and ftrip is None:
                 break
             yield first, t, U, factors, ftrip
@@ -139,6 +144,7 @@ def _steps(spec, times, h, scheme, f_at_last=False):
                 break
             start_f, start_u = ftrip.V, trip.V
             Lc, Rc = trip.U * trip.S, trip.V
+    F = None    # the factored run's buffer, released before the dense F is allocated
     Uhat = prop.to_coords(U)
     for i in range(first, last + 1):
         t = times[i]

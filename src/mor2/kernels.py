@@ -22,7 +22,7 @@ EIG_COND_LIMIT = 1e12      # max acceptable condition number of an eigenbasis
 DENSE_SVD_MAX = 256        # largest dimension solved by a full dense SVD
 NEGLIGIBLE_REL = 1e-14     # singular values below this share of sigma_1 count as zero
 RANGE_BLOCK = 32           # first block width of the randomized range finder
-RESIDUAL_ROWS = 32         # rows per block of the range finder's residual norm
+ROW_BLOCK = 32             # rows per block of row_blocks
 
 # A fixed seed keeps the randomized SVD deterministic run to run.
 _RANGE_SEED = 20240901
@@ -174,7 +174,7 @@ def _range_svd(M, r, omega, start=None):
     else:   # a column-major sketch, which the QR does not copy; B = T^T Qt^T, so an l x l SVD
         Q = scipy.linalg.qr(sketch, overwrite_a=True, mode="economic", check_finite=False)[0]
         B = Q.T @ M
-        Qt, T = np.linalg.qr(B.T)
+        Qt, T = scipy.linalg.qr(B.T, mode="economic", check_finite=False)
         Ub, s, Wh = np.linalg.svd(T.T)
         Vh = Wh @ Qt.T
     resid = _residual_norm(M, Q, B)
@@ -188,13 +188,21 @@ def _range_svd(M, r, omega, start=None):
     return SvdTriplet(Q @ Ub[:, :k], s[:k].copy(), Vh[:k].T.copy(), tail)
 
 
+def row_blocks(n):
+    """Slices of ROW_BLOCK rows covering range(n): a sweep over them keeps each
+    block of an n x n pass in cache.  OpenBLAS's Haswell kernels round a row
+    block of a skinny product as the whole product when the column count is
+    a multiple of 8."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
+
+
 def _residual_norm(M, Q, B):
-    """||M - Q B||_F summed over blocks of RESIDUAL_ROWS rows, so that no
-    array of M's size is allocated (a block stays in cache)."""
+    """||M - Q B||_F summed over row_blocks, so that no array of M's size is
+    allocated."""
     total = 0.0
-    for lo in range(0, M.shape[0], RESIDUAL_ROWS):
-        D = Q[lo:lo + RESIDUAL_ROWS] @ B
-        D -= M[lo:lo + RESIDUAL_ROWS]
+    for rows in row_blocks(M.shape[0]):
+        D = Q[rows] @ B
+        D -= M[rows]
         D = D.ravel()
         total += float(D @ D)
     return float(np.sqrt(total))
@@ -224,19 +232,24 @@ def eig_pair(A):
     """The one entry point for eigendecompositions: an EigenPair of a square,
     finite A, or None when no eigenbasis of A is usable.
 
-    A symmetric within SYM_REL_TOL gets LAPACK's symmetric solver on
-    (A + A^T) / 2: Q orthogonal, values ascending, inverse Q^T.  Any other A
-    takes tridiagonal_eig when it applies, else general_eig.  None (an
-    eigenbasis too ill conditioned, or none at all) sends the Propagator to
-    real Schur coordinates.
+    A symmetric within SYM_REL_TOL is decomposed as S = (A + A^T) / 2: Q
+    orthogonal, values ascending, inverse Q^T, by tridiagonal_eig when S is
+    tridiagonal (the dense solver's bits in a third of its time), else by
+    LAPACK's dense symmetric solver.  Any other A takes tridiagonal_eig when
+    it applies, else general_eig.  None (an eigenbasis too ill conditioned,
+    or none at all) sends the Propagator to real Schur coordinates.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError("eig_pair expects a square matrix")
     _check_finite("A", A)
     if is_symmetric(A):
-        vals, Q = np.linalg.eigh(0.5 * (A + A.T))
-        return EigenPair(vals, Q, Q.T.copy())
+        S = 0.5 * (A + A.T)
+        pair = tridiagonal_eig(S)
+        if pair is None:
+            vals, Q = np.linalg.eigh(S)
+            pair = EigenPair(vals, Q, Q.T.copy())
+        return pair
     pair = tridiagonal_eig(A)
     return pair if pair is not None else general_eig(A)
 
@@ -262,14 +275,19 @@ def tridiagonal_eig(A):
     sqrt(A[i+1, i] / A[i, i+1]).  D is summed in logs, so that it cannot
     overflow.  LAPACK's symmetric tridiagonal solver gives S = Q_S L Q_S^T,
     so Q = D Q_S and Q^-1 = Q_S^T D^-1 need no inverse, and cond(Q) =
-    cond(D).  Any other pattern, or cond(D) above EIG_COND_LIMIT, gives None.
-    A is finite and square: eig_pair checks it.
+    cond(D).  A symmetric A is S, its off-diagonal kept exact (sqrt(a) sqrt(a)
+    can miss a by an ulp) and Q = Q_S row-major, as the dense solver gives it.
+    Any other pattern, or cond(D) above EIG_COND_LIMIT, gives None.  A is
+    finite and square: eig_pair checks it.
     """
     sup, sub = np.diagonal(A, 1), np.diagonal(A, -1)
     if not np.all(np.sign(sup) * np.sign(sub) > 0):
         return None
     if np.count_nonzero(A) != np.count_nonzero(np.diagonal(A)) + 2 * len(sup):
         return None     # an entry off the three diagonals
+    if np.array_equal(sup, sub):
+        vals, QS = scipy.linalg.eigh_tridiagonal(np.diagonal(A), sup)
+        return EigenPair(vals, np.ascontiguousarray(QS), QS.T)
     log_d = np.concatenate([[0.0], np.cumsum(0.5 * (np.log(np.abs(sub)) - np.log(np.abs(sup))))])
     lo, hi = log_d.min(), log_d.max()
     if hi - lo > np.log(EIG_COND_LIMIT):
@@ -424,7 +442,8 @@ class Propagator:
     or of B (None; a half without one makes its side not fold, and
     eig_pair on the whole matrix decides) the coordinates are the real
     Schur bases of A and B instead, and a step solves one quasi-triangular
-    Sylvester equation.  The step factors are kept for the latest h only.
+    Sylvester equation.  A step factor is built on first use, for the
+    latest h only: advance reads E and P, advance_factors P (etd) or E (imex).
     """
 
     def __init__(self, A, B, scheme):
@@ -454,11 +473,11 @@ class Propagator:
             self.Tb, self.Qb = scipy.linalg.schur(B, output="real")
             self.Qa_inv, self.Qb_inv = self.Qa.T, self.Qb.T
             self.la, self.lb = np.linalg.eigvals(self.Ta), np.linalg.eigvals(self.Tb)
-        self.separation = float(np.min(np.abs(self.la[:, None] + self.lb[None, :])))
+        self.separation = _separation(self.la, self.lb)
         scale = np.linalg.norm(A) + np.linalg.norm(B)
         if self.fallback and scheme == "etd" and self.separation < OVERLAP_TOL * max(scale, 1e-300):
             raise SingularityError("spectra of A and -B overlap and no stable eigenbasis exists")
-        self._h = None
+        self._h, self._built = None, {}
         self._work = None
 
     def to_coords(self, U):
@@ -488,19 +507,24 @@ class Propagator:
     def advance_factors(self, Lc, Rc, Lf, Rf, h):
         """advance of Uhat = Lc Rc^T at frozen Fhat = Lf Rf^T, into scratch.  Eigen-coordinates
         form neither: etd (E = ea eb^T) takes P .* (Lf Rf^T) + (ea .* Lc)(eb .* Rc)^T,
-        the product accumulated in place, imex E .* ([Lc, h Lf] [Rc, Rf]^T)."""
-        M, spare = self.work((2, len(Lc), len(Rc)), float)
+        the product accumulated in place, imex E .* ([Lc, h Lf] [Rc, Rf]^T), by row_blocks."""
+        n, m = len(Lc), len(Rc)
         if self.fallback:
+            M, spare = self.work((2, n, m), float)
             return self.advance(np.matmul(Lc, Rc.T, out=M), np.matmul(Lf, Rf.T, out=spare), h)
-        E, P = self._factors(h)
+        M = self.work((n, m), float)
         if self.scheme == "imex":
-            np.matmul(np.hstack([Lc, h * Lf]), np.hstack([Rc, Rf]).T, out=M)
-            return np.multiply(M, E, out=M)
-        np.multiply(np.matmul(Lf, Rf.T, out=M), P, out=M)
+            E, L, R = self._factor("E", h), np.hstack([Lc, h * Lf]), np.hstack([Rc, Rf]).T
+            for rows in row_blocks(n):
+                np.multiply(np.matmul(L[rows], R, out=M[rows]), E[rows], out=M[rows])
+            return M
+        P = self._factor("P", h)
         a, b = np.exp(h * self.lb)[:, None] * Rc, np.exp(h * self.la)[:, None] * Lc
         for X in (a, b):    # E's far corner would make subnormal products, ~100x slower on x86
             X[np.abs(X) < 1e-150 * np.max(np.abs(X), initial=0.0)] = 0.0
-        scipy.linalg.blas.dgemm(1.0, a, b, 1.0, M.T, trans_b=True, overwrite_c=True)
+        for rows in row_blocks(n):
+            np.multiply(np.matmul(Lf[rows], Rf.T, out=M[rows]), P[rows], out=M[rows])
+            scipy.linalg.blas.dgemm(1.0, a, b[rows], 1.0, M[rows].T, trans_b=True, overwrite_c=True)
         return M
 
     def advance(self, Uhat, Fhat, h, out=None):
@@ -510,7 +534,7 @@ class Propagator:
         step goes to out, and Fhat is overwritten; in Schur coordinates the
         step is a new matrix, copied into out when given.  Returns the new Uhat.
         """
-        E, P = self._factors(h)
+        E, P = self._factor("EP", h)
         if not self.fallback:
             out = np.multiply(Uhat, E, out=Uhat if out is None else out)
             Fhat *= P
@@ -525,26 +549,48 @@ class Propagator:
         np.copyto(out, Unew)
         return out
 
-    def _factors(self, h):
+    def _factor(self, name, h):
+        """Step factor "E" or "P" at h, or "EP" for both, built on first use and
+        kept for the latest h."""
         if h != self._h:
-            self._E, self._P = self._step_factors(h)
-            self._h = h
-        return self._E, self._P
+            self._h, self._built = h, {}
+        got = self._built.get(name)
+        if got is None:
+            got = self._built[name] = ((self._factor("E", h), self._factor("P", h))
+                                       if name == "EP" else self._build(name, h))
+        return got
 
-    def _step_factors(self, h):
-        z = h * (self.la[:, None] + self.lb[None, :])
-        if self.scheme == "imex" and np.min(np.abs(1.0 - z)) < 1e-14:
-            raise SingularityError("implicit Euler operator is singular at this step size")
-        if self.fallback and self.scheme == "etd":
-            return scipy.linalg.expm(h * self.Ta), scipy.linalg.expm(h * self.Tb)
+    def _build(self, name, h):
+        """E or P at h, each formed in its own array.  imex takes P from E, and E
+        checks 1 - h (la_i + lb_j) for a singular step on every route."""
+        if self.scheme == "imex" and name == "E":
+            D = np.add.outer(self.la, self.lb)
+            D *= h
+            if np.min(np.abs(np.subtract(1.0, D, out=D))) < 1e-14:
+                raise SingularityError("implicit Euler operator is singular at this step size")
+            return np.eye(len(self.Ta)) - h * self.Ta if self.fallback else np.divide(1.0, D, out=D)
         if self.fallback:
-            return np.eye(len(self.Ta)) - h * self.Ta, -h * self.Tb
-        if self.scheme == "etd":
-            E = np.exp(h * self.la)[:, None] * np.exp(h * self.lb)[None, :]
+            T = self.Ta if name == "E" else self.Tb
+            return scipy.linalg.expm(h * T) if self.scheme == "etd" else -h * T
+        if self.scheme == "imex":
+            return self._factor("E", h) * h
+        if name == "E":
+            E = np.multiply.outer(np.exp(h * self.la), np.exp(h * self.lb))
             E[np.abs(E) < np.finfo(float).tiny] = 0.0     # subnormal products are ~100x slower
-            return E, h * phi1(z)
-        E = 1.0 / (1.0 - z)
-        return E, h * E
+            return E
+        z = np.add.outer(self.la, self.lb)
+        z *= h
+        return np.multiply(phi1(z), h, out=z)
+
+
+def _separation(la, lb):
+    """min |la_i + lb_j|.  A rounded sum is monotone in lb_j, so for real spectra
+    the two neighbours of -la_i among the sorted lb give the outer sum's value."""
+    if np.iscomplexobj(la) or np.iscomplexobj(lb):
+        return float(np.min(np.abs(la[:, None] + lb[None, :])))
+    mu = np.sort(lb)
+    k = np.searchsorted(mu, -la)    # mu[k - 1] < -la_i <= mu[k]
+    return float(np.min(np.abs(la + mu[np.clip([k - 1, k], 0, len(mu) - 1)])))
 
 
 def _schur_sylvester(T, S, C):

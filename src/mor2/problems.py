@@ -96,17 +96,17 @@ def eval_nonlinear(spec, U, t):
 
 
 def sample_points(spec, row_idx, col_idx):
-    """Grid coordinates of the sub-block row_idx x col_idx, as a column of x
-    and a row of y."""
-    return spec.grid_x[np.asarray(row_idx)][:, None], spec.grid_y[np.asarray(col_idx)][None, :]
+    """Grid coordinates of the sub-block row_idx x col_idx (index arrays or
+    slices), as a column of x and a row of y."""
+    return spec.grid_x[row_idx][:, None], spec.grid_y[col_idx][None, :]
 
 
 def eval_nonlinear_at(spec, Z, row_idx, col_idx, t):
     """Evaluate F entrywise on the sub-block row_idx x col_idx.
 
     Z already holds the state values at those grid positions, so for an
-    entrywise nonlinearity this touches only len(row_idx)*len(col_idx)
-    entries.
+    entrywise nonlinearity this touches only Z's entries: the DEIM points,
+    or a block of rows of the factored snapshot run.
     """
     return spec.nonlinear(Z, *sample_points(spec, row_idx, col_idx), t)
 

@@ -6,6 +6,7 @@ is checked against arithmetic it does not share.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def jacobi_svd(M, sweeps=60, tol=1e-14):
@@ -194,6 +195,27 @@ def legacy_imex_update(eigA, eigB, U, F, h):
     denom = 1.0 - h * (eigA.values[:, None] + eigB.values[None, :])
     out = eigA.vectors @ ((eigA.inverse @ (U + h * F) @ eigB.vectors) / denom) @ eigB.inverse
     return out.real if np.iscomplexobj(out) else out
+
+
+def one_shot_factored_step(prop, Lc, Rc, Lf, Rf, h):
+    """Propagator.advance_factors in eigen-coordinates as the library once
+    formed it, with whole-matrix products: imex E .* ([Lc, h Lf] [Rc, Rf]^T),
+    etd P .* (Lf Rf^T) plus (ea .* Lc)(eb .* Rc)^T in one accumulating dgemm,
+    E and P from the outer sums of prop's eigenvalues.  A rounding reference:
+    the row-blocked sweep must match it bit for bit where OpenBLAS rounds a
+    row block as the whole product."""
+    z = h * (prop.la[:, None] + prop.lb[None, :])
+    if prop.scheme == "imex":
+        return np.matmul(np.hstack([Lc, h * Lf]), np.hstack([Rc, Rf]).T) * (1.0 / (1.0 - z))
+    nz = z != 0.0
+    phi = np.ones_like(z)
+    phi[nz] = np.expm1(z[nz]) / z[nz]
+    M = np.matmul(Lf, Rf.T) * (h * phi)
+    a, b = np.exp(h * prop.lb)[:, None] * Rc, np.exp(h * prop.la)[:, None] * Lc
+    for X in (a, b):
+        X[np.abs(X) < 1e-150 * np.max(np.abs(X), initial=0.0)] = 0.0
+    scipy.linalg.blas.dgemm(1.0, a, b, 1.0, M.T, trans_b=True, overwrite_c=True)
+    return M
 
 
 def legacy_full_trajectory(spec, eigA, eigB, h, n_t, scheme="etd"):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -314,6 +315,36 @@ def _is_factored(traj):
     return all(isinstance(M, kernels.SvdTriplet) for M in traj.states[1:])
 
 
+def _record_f(monkeypatch):
+    """Wrap problems' two F entry points; each call appends (t, rows) with the
+    row indices it evaluates, after checking that it spans every column."""
+    calls, whole, part = [], problems.eval_nonlinear, problems.eval_nonlinear_at
+
+    def counting_whole(spec, U, t):
+        calls.append((t, np.arange(len(U))))
+        return whole(spec, U, t)
+
+    def counting_part(spec, Z, row_idx, col_idx, t):
+        cols = np.arange(len(spec.grid_y))
+        assert np.array_equal(cols[col_idx], cols)
+        calls.append((t, np.arange(len(spec.grid_x))[row_idx]))
+        return part(spec, Z, row_idx, col_idx, t)
+
+    monkeypatch.setattr(problems, "eval_nonlinear", counting_whole)
+    monkeypatch.setattr(problems, "eval_nonlinear_at", counting_part)
+    return calls
+
+
+def _f_sweeps(calls, n):
+    """The node times of F's evaluations from (t, rows) per call: the calls
+    at one node must cover rows 0, ..., n - 1 once each, in order."""
+    nodes = []
+    for t, group in itertools.groupby(calls, key=lambda call: call[0]):
+        assert np.array_equal(np.concatenate([rows for _, rows in group]), np.arange(n))
+        nodes.append(t)
+    return nodes
+
+
 ROUTE_CASES = pytest.mark.parametrize("name, scheme", [(p, s) for p in ("ac1", "rdc")
                                                        for s in ("imex", "etd")])
 
@@ -372,21 +403,18 @@ def _short_rdc_run():
 def test_uncertified_compression_continues_the_snapshot_run_densely(monkeypatch, fail_at):
     spec, times, (dstate, dnonl, _) = _short_rdc_run()
     factored = (0, 0, 1, 1, 2)[fail_at - 1]     # nodes yielded before the failure
-    compress, calls, evaluate, evals = kernels.compress, [], problems.eval_nonlinear, []
+    compress, calls = kernels.compress, []
 
     def failing(M, start=None):
         calls.append(start is not None)
         return None if len(calls) == fail_at else compress(M, start)
 
-    def counting(*args):
-        evals.append(args[2])
-        return evaluate(*args)
-
     monkeypatch.setattr(kernels, "compress", failing)
-    monkeypatch.setattr(problems, "eval_nonlinear", counting)
+    evals = _record_f(monkeypatch)
     state, nonl, _ = fullsolve.trajectory_source(spec, times, "etd")
     assert calls == [False, False, False, True, True][:fail_at]
-    assert len(evals) <= len(times) + 1         # no node is stepped twice
+    # no node is stepped twice: F's rows are evaluated at most len(times) + 1 times
+    assert sum(len(rows) for _, rows in evals) <= (len(times) + 1) * FACTORED_N
     for i in range(len(times)):
         assert isinstance(state.snapshot(i), kernels.SvdTriplet) == (0 < i < factored)
         assert isinstance(nonl.snapshot(i), kernels.SvdTriplet) == (i < factored)
@@ -395,6 +423,44 @@ def test_uncertified_compression_continues_the_snapshot_run_densely(monkeypatch,
             assert np.linalg.norm(M - W) <= 1e-12 * np.linalg.norm(W)
         if fail_at <= 3:                        # dense from node 0
             assert np.array_equal(state.matrix(i), dstate.matrix(i))
+
+
+# above DENSE_SVD_MAX, not a multiple of ROW_BLOCK (a part block is left over), and a
+# multiple of 16: OpenBLAS's Haswell kernels round the last n mod 8 columns of a row
+# block of a skinny product differently from the whole product's (n = 300 shows it),
+# and wider kernels may group columns by 16
+BLOCKED_N = 304
+
+
+@pytest.mark.parametrize("name", ["ac1", "rdc"])
+@pytest.mark.parametrize("scheme", ["etd", "imex"])
+def test_row_blocked_sweeps_round_like_one_shot_products(name, scheme):
+    n = BLOCKED_N
+    assert n % kernels.ROW_BLOCK and n % 16 == 0
+    spec = problems.build_problem(name, n)
+    times = pod.candidate_times(spec.t_final, 6)
+    # each node's state is L R^T and its F compresses F(U), both as whole products
+    start, seen = None, []
+    for i, t, U, factors, ftrip in fullsolve._steps(spec, times, times[1] - times[0], scheme,
+                                                     f_at_last=True):
+        assert (factors is None) == (i == 0)
+        if factors is not None:
+            assert np.array_equal(U, factors[0] @ factors[1].T)
+        want = kernels.compress(problems.eval_nonlinear(spec, U, t), start)
+        for got, w in zip((ftrip.U, ftrip.S, ftrip.V), (want.U, want.S, want.V)):
+            assert np.array_equal(got, w)
+        start = ftrip.V
+        seen.append(i)
+    assert seen == list(range(len(times)))
+    # the fused step against the one-shot oracle, folded (ac1) or dense (rdc) bases
+    prop = kernels.Propagator(spec.A, spec.B, scheme)
+    assert isinstance(prop.Qa, kernels.FoldedMatrix) == (name == "ac1")
+    rng = np.random.default_rng(95)
+    Lc, Rc = prop.map_factors(*rng.standard_normal((2, n, 7)))
+    Lf, Rf = prop.map_factors(*rng.standard_normal((2, n, 5)))
+    for h in (0.01, 0.09):      # rdc's etd flushes the far corner of ea eb^T at 0.09
+        want = oracles.one_shot_factored_step(prop, Lc, Rc, Lf, Rf, h)
+        assert np.array_equal(prop.advance_factors(Lc, Rc, Lf, Rf, h), want)
 
 
 def _large_bidiagonal_spec(sub):
@@ -428,21 +494,26 @@ def test_factored_run_in_schur_coordinates():
         assert np.linalg.norm(state.matrix(i) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("name, n", [("ac1", 64), ("ac2", 64), ("rdc", 64), ("rdc", FACTORED_N)])
+@pytest.mark.parametrize("name, n", [("ac1", 64), ("ac2", 64), ("rdc", 64), ("rdc", FACTORED_N),
+                                     ("ac1", FACTORED_N)])
 def test_snapshot_run_builds_its_step_factors_once(monkeypatch, name, n):
-    # linspace spacings differ in their last bits; the run still steps with one h
-    step_factors, calls = kernels.Propagator._step_factors, []
+    # linspace spacings differ in their last bits; the run still steps with one h.
+    # A dense step reads E and P, a factored etd step only P, a factored imex step only E.
+    build, calls = kernels.Propagator._build, []
 
-    def counting(self, h):
-        calls.append(h)
-        return step_factors(self, h)
+    def counting(self, factor, h):
+        calls.append((factor, h))
+        return build(self, factor, h)
 
-    monkeypatch.setattr(kernels.Propagator, "_step_factors", counting)
+    monkeypatch.setattr(kernels.Propagator, "_build", counting)
     spec = problems.build_problem(name, n)
     times = pod.candidate_times(spec.t_final, 40)
-    state, _, _ = fullsolve.trajectory_source(spec, times, "imex")
-    assert calls == [(times[-1] - times[0]) / 39]
-    assert _is_factored(state) == (n > kernels.DENSE_SVD_MAX)
+    h, factored = (times[-1] - times[0]) / 39, n > kernels.DENSE_SVD_MAX
+    for scheme, read in (("imex", "E"), ("etd", "P")):
+        calls.clear()
+        state, _, _ = fullsolve.trajectory_source(spec, times, scheme)
+        assert sorted(calls) == [(f, h) for f in (read if factored else "EP")]
+        assert _is_factored(state) == factored
 
 
 def test_factored_run_holds_no_dense_snapshots():
@@ -517,26 +588,22 @@ def test_uncertified_compression_continues_the_reference_densely(monkeypatch, fa
 def test_factored_reference_evaluates_f_only_where_a_step_uses_it(monkeypatch):
     spec, times, _ = _short_rdc_run()
     grid = fullsolve.TimeGrid(times[-1], len(times) - 1)
-    evaluate, compress, evals, compressions = problems.eval_nonlinear, kernels.compress, [], []
-
-    def counting_eval(*args):
-        evals.append(args[2])
-        return evaluate(*args)
+    compress, compressions = kernels.compress, []
 
     def counting_compress(M, start=None):
         compressions.append(start is not None)
         return compress(M, start)
 
-    monkeypatch.setattr(problems, "eval_nonlinear", counting_eval)
+    evals = _record_f(monkeypatch)
     monkeypatch.setattr(kernels, "compress", counting_compress)
     assert [i for i, _, _ in fullsolve.iter_full(spec, grid, "etd")] == list(range(grid.n_t + 1))
-    assert evals == list(grid.nodes[:-1])
+    assert _f_sweeps(evals, FACTORED_N) == list(grid.nodes[:-1])
     assert len(compressions) == 2 * grid.n_t + 1
     # the snapshot run keeps F at every node, the last one too
     evals.clear()
     state, nonl, _ = fullsolve.trajectory_source(spec, times, "etd")
     assert _is_factored(state) and _is_factored(nonl)
-    assert evals == list(times)
+    assert _f_sweeps(evals, FACTORED_N) == list(times)
 
 
 @pytest.mark.parametrize("scheme", ["etd", "imex"])
@@ -576,7 +643,8 @@ def test_f_is_evaluated_once_per_node_that_uses_it(monkeypatch, n):
     nonlinear, calls = spec.nonlinear, []
 
     def counting(U, X, Y, t):
-        calls.append(t)
+        assert np.array_equal(Y.ravel(), spec.grid_y)     # every column, and X's rows
+        calls.append((t, np.searchsorted(spec.grid_x, X.ravel())))
         return nonlinear(U, X, Y, t)
 
     step, dense_steps = kernels.etd_euler_update, []
@@ -590,9 +658,9 @@ def test_f_is_evaluated_once_per_node_that_uses_it(monkeypatch, n):
     grid = fullsolve.TimeGrid(spec.t_final, 12)
     assert [i for i, _, _ in fullsolve.iter_full(spec, grid, "etd")] == list(range(13))
     assert len(dense_steps) == (0 if n > kernels.DENSE_SVD_MAX else 12)
-    assert calls == list(grid.nodes[:-1])
+    assert _f_sweeps(calls, n) == list(grid.nodes[:-1])
     calls.clear()
     times = grid.nodes[:-1]
     state, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
     assert _is_factored(state) == _is_factored(nonl) == (n > kernels.DENSE_SVD_MAX)
-    assert calls == list(times)
+    assert _f_sweeps(calls, n) == list(times)

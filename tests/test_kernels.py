@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from conftest import full_step, make_spec
@@ -326,6 +327,32 @@ def test_eig_pair_dispatch():
     assert not np.array_equal(pair.inverse, pair.vectors.T)
 
 
+def test_separation_matches_the_outer_sum():
+    # real spectra take the sorted-neighbour route, complex ones the outer sum
+    rng = np.random.default_rng(97)
+    for size_a, size_b in ((1, 1), (1, 9), (37, 50), (64, 20)):
+        la, lb = rng.uniform(-3.0, 3.0, size_a), rng.uniform(-3.0, 3.0, size_b)
+        cut = lb.copy()
+        cut[-1] = -la[-1]       # an exact cancellation
+        for a, b in ((la, lb), (la, np.concatenate([lb, lb[:2]])), (la, cut)):
+            prop = kernels.Propagator(np.diag(a), np.diag(b), "imex")
+            assert prop.separation == np.min(np.abs(prop.la[:, None] + prop.lb[None, :]))
+        assert prop.separation == 0.0
+    rotation = np.array([[-1.0, -2.0], [2.0, -1.0]])      # eigenvalues -1 +- 2i
+    prop = kernels.Propagator(rotation, np.diag([0.5, 1.5]), "etd")
+    assert np.iscomplexobj(prop.la)
+    assert prop.separation == np.min(np.abs(prop.la[:, None] + prop.lb[None, :]))
+    assert np.isclose(prop.separation, np.hypot(0.5, 2.0))
+    # complex on both sides: the neighbours of each -la_i in lb's (lexicographic) order
+    # are 0 and 2, not the -1 -+ 3i that give |(-0.9 +- 2.9i) + (-1 -+ 3i)| = |-1.9 -+ 0.1i|
+    A = np.array([[-0.9, -2.9], [2.9, -0.9]])
+    B = scipy.linalg.block_diag([[-1.0, -3.0], [3.0, -1.0]], [[2.0]], [[0.0]])
+    prop = kernels.Propagator(A, B, "etd")
+    assert np.iscomplexobj(prop.lb)
+    assert prop.separation == np.min(np.abs(prop.la[:, None] + prop.lb[None, :]))
+    assert np.isclose(prop.separation, np.hypot(1.9, 0.1))
+
+
 # ------------------------------------------- tridiagonal symmetrization route
 
 def _refuse(*args, **kwargs):
@@ -355,6 +382,29 @@ def test_tridiagonal_eig_is_a_scaled_symmetric_decomposition(monkeypatch):
     d = np.sqrt(np.diag(Q @ Q.T))
     assert np.allclose(Q @ Q.T, np.diag(d * d), atol=1e-13 * np.max(d * d))
     assert np.isclose(np.linalg.cond(Q), d.max() / d.min(), rtol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["ac1", "ac2", "random"])
+def test_symmetric_tridiagonal_input_takes_the_tridiagonal_solver(case, monkeypatch):
+    # ac1's and ac2's folded halves, as the Propagator decomposes them, and a random one
+    if case == "random":
+        rng = np.random.default_rng(98)
+        sup = rng.standard_normal(39)
+        mats = [np.diag(rng.standard_normal(40)) + np.diag(sup, 1) + np.diag(sup, -1)]
+    else:
+        A, m = problems.build_problem(case, 64).A, 32
+        mats = [A[:m, :m] + A[:m, m:][:, ::-1], A[:m, :m] - A[:m, m:][:, ::-1]]
+    for S in mats:
+        vals, Q = np.linalg.eigh(S)
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", _refuse)
+            pair = kernels.eig_pair(S)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(pair.values - vals)) <= 1e-13 * scale
+        signs = np.sign(np.sum(pair.vectors * Q, axis=0))     # eigenvectors up to sign
+        assert np.max(np.abs(pair.vectors * signs - Q)) <= 1e-13
+        assert np.array_equal(pair.inverse, pair.vectors.T)
+        assert pair.vectors.flags.c_contiguous      # row-major, as eigh gives it
 
 
 @pytest.mark.parametrize("case", ["rdc", "random"])
@@ -671,7 +721,7 @@ def test_dense_etd_step_flushes_subnormal_step_factors():
     U, F = rng.standard_normal((2, 512, 512))
     Uhat = prop.to_coords(U)
     _, got = kernels.etd_euler_update(prop, Uhat.copy(), F, h, np.empty(F.shape))
-    E = prop._factors(h)[0]
+    E = prop._factor("E", h)
     assert not np.any((E != 0.0) & (np.abs(E) < tiny))
     # the unflushed update, with etd_euler_update's products and association
     P = h * kernels.phi1(h * (prop.la[:, None] + prop.lb[None, :]))
@@ -716,6 +766,20 @@ def test_propagator_imex_singular_step():
     prop = kernels.Propagator([[1.0]], [[1.0]], "imex")
     with pytest.raises(SingularityError):
         prop.advance(np.ones((1, 1)), np.ones((1, 1)), 0.5)
+
+
+@pytest.mark.parametrize("route", ["factored", "schur"])
+def test_imex_singular_step_is_refused_on_the_other_routes(route):
+    # h (la + lb) = 1: the factored step builds E alone, Schur coordinates no outer sum
+    one = np.ones((1, 1))
+    if route == "factored":
+        with pytest.raises(SingularityError):
+            kernels.Propagator([[1.0]], [[1.0]], "imex").advance_factors(one, one, one, one, 0.5)
+        return
+    prop = kernels.Propagator(np.eye(2) + np.eye(2, k=1), [[1.0]], "imex")     # a Jordan block
+    assert prop.fallback
+    with pytest.raises(SingularityError):
+        prop.advance(np.ones((2, 1)), np.ones((2, 1)), 0.5)
 
 
 def test_propagator_unknown_scheme():
