@@ -193,7 +193,7 @@ def row_blocks(n):
     block of an n x n pass in cache.  OpenBLAS's Haswell kernels round a row
     block of a skinny product as the whole product when the column count is
     a multiple of 8."""
-    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
+    return (slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK))
 
 
 def _residual_norm(M, Q, B):
@@ -390,6 +390,20 @@ def _butterfly(X, out):
     return out
 
 
+def fold_halves(A):
+    """The half blocks (A11 + A12 J, A11 - A12 J) of an even-size centrosymmetric
+    A = [[A11, A12], [A21, A22]] (J A J = A exactly, J the reversal of order),
+    or None for any other square A.  A maps the even vectors [x; J x] and the
+    odd ones [x; -J x] to their own kind, acting on x as the first and the
+    second block: A [x; s J x] = [A_s x; s J A_s x]."""
+    n = A.shape[0]
+    if n % 2 or not np.array_equal(A, A[::-1, ::-1]):
+        return None
+    m = n // 2
+    A11, A12J = A[:m, :m], A[:m, m:][:, ::-1]
+    return A11 + A12J, A11 - A12J
+
+
 def _eig_folded(A):
     """eig_pair of A from two half-size blocks, or None when A does not fold.
 
@@ -400,12 +414,10 @@ def _eig_folded(A):
     it is centrosymmetric of even size and eig_pair gives both halves real
     eigenbases; a half with none (None) or a complex one does not fold.
     """
-    n = A.shape[0]
-    if n % 2 or not np.array_equal(A, A[::-1, ::-1]):
+    halves = fold_halves(A)
+    if halves is None:
         return None
-    m = n // 2
-    A11, A12J = A[:m, :m], A[:m, m:][:, ::-1]
-    e1, e2 = eig_pair(A11 + A12J), eig_pair(A11 - A12J)
+    e1, e2 = map(eig_pair, halves)
     if any(e is None or np.iscomplexobj(e.vectors) for e in (e1, e2)):
         return None
     s = np.sqrt(0.5)

@@ -664,3 +664,140 @@ def test_f_is_evaluated_once_per_node_that_uses_it(monkeypatch, n):
     state, nonl, _ = fullsolve.trajectory_source(spec, times, "imex")
     assert _is_factored(state) == _is_factored(nonl) == (n > kernels.DENSE_SVD_MAX)
     assert _f_sweeps(calls, n) == list(times)
+
+
+# ------------------------------------------------- the half-size mirrored run
+
+MIRROR_N = 520      # ac1 with m = n / 2 = 260 > kernels.DENSE_SVD_MAX: the half-size route
+
+
+def _compressed_shapes(mp):
+    """Wrap kernels.compress; the list it returns collects each input's shape."""
+    compress, shapes = kernels.compress, []
+
+    def recording(M, start=None):
+        shapes.append(M.shape)
+        return compress(M, start)
+
+    mp.setattr(kernels, "compress", recording)
+    return shapes
+
+
+def _run_steps(spec, times, scheme, mirror=True):
+    """(U copied, factors, F) of every node of _steps, and the shapes it compressed."""
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = _compressed_shapes(mp)
+        nodes = [(U.copy(), LR, F) for _, _, U, LR, F in
+                 fullsolve._steps(spec, times, times[1] - times[0], scheme, True, mirror)]
+    return nodes, shapes
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_routes(scheme):
+    spec = problems.build_problem("ac1", MIRROR_N)
+    times = pod.candidate_times(spec.t_final, 24)
+    return spec, times, _run_steps(spec, times, scheme), _run_steps(spec, times, scheme, False)
+
+
+@pytest.mark.parametrize("scheme", ["imex", "etd"])
+def test_mirrored_run_matches_the_full_route(scheme):
+    # Bound fixed before measuring: states and F snapshots within 1e-13 relative
+    # of the full-size factored run at every node.
+    spec, times, (half, shapes), (full, full_shapes) = _mirror_routes(scheme)
+    m = MIRROR_N // 2
+    assert fullsolve._mirror(spec)[2:] == (-1.0, 1.0)      # odd in x, even in y
+    assert set(shapes) == {(m, m)} and set(full_shapes) == {(MIRROR_N, MIRROR_N)}
+    assert len(half) == len(full) == len(times)
+    assert np.array_equal(half[0][0], spec.U0) and half[0][1] is None
+    for i, ((U, LR, F), (Uf, _, Ff), t) in enumerate(zip(half, full, times)):
+        assert np.linalg.norm(U - Uf) <= 1e-13 * np.linalg.norm(Uf)
+        assert np.linalg.norm(F.dense() - Ff.dense()) <= 1e-13 * np.linalg.norm(Ff.dense())
+        if i > 0:       # U is exactly mirrored, and L R^T
+            assert np.array_equal(U[::-1], -U) and np.array_equal(U[:, ::-1], U)
+            assert np.linalg.norm(LR[0] @ LR[1].T - U) <= 1e-13 * np.linalg.norm(U)
+        # the lifted triplets are orthonormal and within their tail of the F evaluated
+        # there, allowing NEGLIGIBLE_REL sigma_1 for the rounding of the dense product
+        for X in (F.U, F.V):
+            assert np.allclose(X.T @ X, np.eye(len(F.S)), atol=1e-12)
+        want = problems.eval_nonlinear(spec, U, t)
+        assert np.linalg.norm(F.dense() - want) <= F.tail + kernels.NEGLIGIBLE_REL * F.S[0]
+
+
+def test_mirrored_reference_matches_the_full_route(monkeypatch):
+    # iter_full does not evaluate F at the last node; bound as above, 1e-13 relative
+    spec = problems.build_problem("ac1", MIRROR_N)
+    grid = fullsolve.TimeGrid(spec.t_final, 12)
+    yielded = [U for _, _, U in fullsolve.iter_full(spec, grid, "etd")]
+    assert all(U is yielded[0] for U in yielded)
+    half = [U.copy() for _, _, U in fullsolve.iter_full(spec, grid, "etd")]
+    monkeypatch.setattr(fullsolve, "_mirror", lambda spec: None)
+    full = [U.copy() for _, _, U in fullsolve.iter_full(spec, grid, "etd")]
+    assert len(half) == len(full) == grid.n_t + 1
+    assert np.array_equal(half[0], spec.U0) and np.array_equal(half[-1][::-1], -half[-1])
+    for U, want in zip(half, full):
+        assert np.linalg.norm(U - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_mirrored_run_falls_back_where_f_breaks_parity():
+    # an x-dependent term from t1 on breaks F's parity at the first node after t1
+    spec = problems.build_problem("ac1", MIRROR_N)
+    times = pod.candidate_times(spec.t_final, 8)
+    f, t1 = spec.nonlinear, times[4]
+
+    def switched(U, X, Y, t):
+        return f(U, X, Y, t) + (1e-3 * X if t > t1 else 0.0)
+
+    spec = dataclasses.replace(spec, nonlinear=switched)
+    half, shapes = _run_steps(spec, times, "imex")
+    full, _ = _run_steps(spec, times, "imex", mirror=False)
+    m = MIRROR_N // 2
+    # half size for U0 and F and the step at nodes 0-4, then the full-size run from U0
+    assert shapes[:11] == [(m, m)] * 11 and set(shapes[11:]) == {(MIRROR_N, MIRROR_N)}
+    assert len(half) == len(times)
+    for i, ((U, _, F), (Uf, _, Ff)) in enumerate(zip(half, full)):
+        if i <= 4:
+            assert np.linalg.norm(U - Uf) <= 1e-13 * np.linalg.norm(Uf)
+        else:
+            assert np.array_equal(U, Uf)
+            assert all(np.array_equal(a, b) for a, b in zip((F.U, F.S, F.V), (Ff.U, Ff.S, Ff.V)))
+
+
+def _off_parity(spec):
+    E = np.random.default_rng(96).standard_normal(spec.U0.shape)
+    return dataclasses.replace(spec, U0=spec.U0 + 1e-12 * np.linalg.norm(spec.U0) / np.linalg.norm(E) * E)
+
+
+@pytest.mark.parametrize("name, n, change", [
+    ("ac1", MIRROR_N, _off_parity), ("ac1", MIRROR_N + 1, None), ("rdc", MIRROR_N, None),
+    ("ac2", MIRROR_N, None), ("ac1", 300, None), ("ac1", 512, None)],
+    ids=["off-parity", "odd", "rdc", "ac2", "ac1-300", "ac1-512"])
+def test_runs_that_are_not_mirror_symmetric_keep_the_full_size(monkeypatch, name, n, change):
+    # U0 off parity by 1e-12, odd n, a pair that is not centrosymmetric (rdc), a start
+    # that is even under the periodic reflection but not under J (ac2), and m <= 256
+    spec = problems.build_problem(name, n)
+    spec = change(spec) if change else spec
+    shapes = _compressed_shapes(monkeypatch)
+    fullsolve.trajectory_source(spec, np.linspace(0.0, 0.02, 3), "imex")
+    assert fullsolve._mirror(spec) is None
+    assert shapes and set(shapes) == {(n, n)}
+
+
+@pytest.mark.parametrize("s, q", [(-1.0, 1.0), (1.0, -1.0)])
+def test_mirrored_sweep_forms_u_and_measures_f_against_its_quarter(s, q):
+    # an F off parity everywhere (a term in x and y): the defect is ||F - [I; s J] Fq [I, q J]||_F
+    n, m, rng = 70, 35, np.random.default_rng(97)
+    spec = make_spec(np.eye(n), np.eye(n), np.zeros((n, n)),
+                     nonlinear=lambda U, X, Y, t: U - U**3 + t * X * Y**2)
+    L, R = rng.standard_normal((2, m, 3))
+    U, Fq = np.full((n, n), np.nan), np.empty((m, m))
+    defect = fullsolve._mirrored_sweep(spec, U, Fq, (L, R), s, q, 0.1)
+    (Ll, Rl), _ = fullsolve._lifted((L, R), None, s, q, 0.0)
+    assert np.array_equal(U[:m, :m], L @ R.T)
+    assert np.array_equal(U[::-1], s * U) and np.array_equal(U[:, ::-1], q * U)
+    assert np.linalg.norm(U - Ll @ Rl.T) <= 1e-14 * np.linalg.norm(U)
+    F = problems.eval_nonlinear(spec, U, 0.1)
+    assert np.array_equal(Fq, F[:m, :m])
+    want = np.linalg.norm(F - np.block([[Fq, q * Fq[:, ::-1]], [s * Fq[::-1], s * q * Fq[::-1, ::-1]]]))
+    assert want > 0.1 * np.linalg.norm(F) and abs(defect - want) <= 1e-13 * want
+    # without t, U is formed and nothing is evaluated
+    assert fullsolve._mirrored_sweep(spec, U, Fq, (L, R), s, q, None) == 0.0

@@ -934,6 +934,21 @@ def test_folded_halves_take_the_expected_solvers():
     assert isinstance(Qa, np.ndarray) and np.iscomplexobj(Qa)
 
 
+@pytest.mark.parametrize("kind", ["dirichlet", "periodic", "neumann", "random"])
+def test_fold_halves_act_on_the_even_and_odd_vectors(kind):
+    # A [x; s J x] = [A_s x; s J A_s x] for the first (s = 1) and second (s = -1) block
+    rng = np.random.default_rng(64)
+    A = _centrosymmetric(kind, 8, rng)
+    x = rng.standard_normal(4)
+    for s, A_s in zip((1.0, -1.0), kernels.fold_halves(A)):
+        y = A_s @ x
+        want = np.concatenate([y, s * y[::-1]])
+        assert np.linalg.norm(A @ np.concatenate([x, s * x[::-1]]) - want) <= 1e-14 * np.linalg.norm(want)
+    assert kernels.fold_halves(_centrosymmetric(kind, 7, rng)) is None         # odd size
+    A[0, 1] += 1e-15 * np.abs(A).max()                                         # not exactly J A J
+    assert kernels.fold_halves(A) is None
+
+
 def test_folded_transposed_side_shares_the_blocks():
     A = _centrosymmetric("neumann", 8, None)
     prop = kernels.Propagator(A, A.T, "etd")
