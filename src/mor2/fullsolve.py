@@ -27,7 +27,8 @@ Such a pair keeps a state that is even or odd on each side (U = s J U =
 q U J; ac1's is odd in x and even in y) that way for as long as F does.
 Above kernels.DENSE_SVD_MAX at half size the factored run of such a state
 steps only its quarter, a problem of half the size whose operators are
-fold halves, and mirrors the rest out.
+fold halves, and mirrors the rest out; from a node where F leaves that
+parity it goes on densely at full size, as from an uncertified compression.
 """
 
 import time
@@ -164,7 +165,7 @@ def _mirrored_sweep(spec, U, Fq, factors, s, q, t):
     return np.sqrt(defect)
 
 
-def _steps(spec, times, h, scheme, f_at_last=False, mirror=True):
+def _steps(spec, times, h, scheme, f_at_last=False):
     """Step U0 through the time nodes, every step of size h, and yield
     (index, time, U, factors, F) for each node once, before the step that
     leaves it.  U is one matrix, overwritten by every step.
@@ -188,11 +189,11 @@ def _steps(spec, times, h, scheme, f_at_last=False, mirror=True):
     and its quarter compressed.  It yields the factors [L; s J L], [R; q J R]
     and F's triplets lifted the same way (U, V over sqrt(2), S and the tail
     doubled, the tail plus F's parity defect).  Node 0's U is U0 itself.
-    From a node whose F is off parity by more than NEGLIGIBLE_REL, or a
-    compression that is not certified, the full-size run (mirror=False),
-    stepped again from U0 in a matrix of its own, yields the rest.
+    A node whose F is off parity by more than NEGLIGIBLE_REL stops it as an
+    uncertified compression does: the run goes on densely from the state in
+    U, through a full-size propagator built there.
     """
-    half = _mirror(spec) if mirror else None
+    half = _mirror(spec)
     A, B, s, q = (spec.A, spec.B, None, None) if half is None else half
     prop = kernels.Propagator(A, B, scheme)
     U = np.array(spec.U0, dtype=float)
@@ -233,10 +234,7 @@ def _steps(spec, times, h, scheme, f_at_last=False, mirror=True):
             Lc, Rc = trip.U * trip.S, trip.V
     F = None    # the factored run's buffer, released before the dense F is allocated
     if half is not None:
-        U = None
-        yield from (node for node in _steps(spec, times, h, scheme, f_at_last, mirror=False)
-                    if node[0] > done)
-        return
+        prop = kernels.Propagator(spec.A, spec.B, scheme)
     Uhat = prop.to_coords(U)
     for i in range(first, last + 1):
         t = times[i]
@@ -257,9 +255,8 @@ def iter_full(spec, grid, scheme):
     low-rank factors (_steps) formed straight into the yielded matrix,
     within about 2e-13 relative of dense steps, and densely from a
     compression that is not certified on.  Memory does not grow with the
-    grid.  The yielded state is one matrix, overwritten by the next step
-    (another one from where a mirror-symmetric run falls back to full
-    size); copy it to keep it.
+    grid.  The yielded state is one matrix, overwritten by the next step;
+    copy it to keep it.
     """
     for i, t, U, _, F in _steps(spec, grid.nodes, grid.h, scheme):
         del F  # the next F then reuses its memory

@@ -392,29 +392,72 @@ def test_rank_heavy_start_takes_the_dense_route():
 
 
 @functools.lru_cache(maxsize=None)
-def _short_rdc_run():
-    spec = problems.build_problem("rdc", FACTORED_N)
+def _short_run(name="rdc"):
+    """rdc at FACTORED_N, or ac1 at MIRROR_N (the half-size mirrored route), 3 ETD
+    steps, and its dense route."""
+    spec = problems.build_problem(name, FACTORED_N if name == "rdc" else MIRROR_N)
     times = np.linspace(0.0, 0.1, 4)
     return spec, times, _dense_route(spec, times, "etd")
 
 
-# compressions in order: U0, F0, the first step (cold), F1 and the second step (warm)
-@pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
-def test_uncertified_compression_continues_the_snapshot_run_densely(monkeypatch, fail_at):
-    spec, times, (dstate, dnonl, _) = _short_rdc_run()
-    factored = (0, 0, 1, 1, 2)[fail_at - 1]     # nodes yielded before the failure
-    compress, calls = kernels.compress, []
+def _failing_compress(monkeypatch, fail_at):
+    """Make the fail_at-th call of kernels.compress return None; the lists it
+    returns collect each call's warm start (given or not) and input shape."""
+    compress, calls, shapes = kernels.compress, [], []
 
     def failing(M, start=None):
         calls.append(start is not None)
+        shapes.append(M.shape)
         return None if len(calls) == fail_at else compress(M, start)
 
     monkeypatch.setattr(kernels, "compress", failing)
+    return calls, shapes
+
+
+def _count_dense_steps(monkeypatch):
+    """Wrap kernels.etd_euler_update; the list it returns gets one entry per dense step."""
+    update, steps = kernels.etd_euler_update, []
+
+    def counting(*args, **kwargs):
+        steps.append(1)
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "etd_euler_update", counting)
+    return steps
+
+
+# compressions in order: U0, F0, the first step (cold), F1 and the second step (warm);
+# rdc runs at full size, ac1 (ids mirrored-*) on the half-size mirrored route, which
+# hands over to the dense full-size run as the plain route does
+UNCERTIFIED_CASES = pytest.mark.parametrize("name, fail_at", [
+    pytest.param(name, k, id=f"{prefix}{k}")
+    for name, prefix in (("rdc", ""), ("ac1", "mirrored-")) for k in range(1, 6)])
+DENSE_FROM = (0, 0, 0, 1, 1)    # the node each fail_at's dense run starts from
+
+
+@UNCERTIFIED_CASES
+def test_uncertified_compression_continues_the_snapshot_run_densely(monkeypatch, name, fail_at):
+    spec, times, (dstate, dnonl, _) = _short_run(name)
+    n = len(spec.U0)
+    factored = (0, 0, 1, 1, 2)[fail_at - 1]     # nodes yielded before the failure
+    calls, shapes = _failing_compress(monkeypatch, fail_at)
     evals = _record_f(monkeypatch)
+    dense_steps = _count_dense_steps(monkeypatch)
+    steps, yielded = fullsolve._steps, []
+
+    def recording(*args, **kwargs):
+        for node in steps(*args, **kwargs):
+            yielded.append(node[2])
+            yield node
+
+    monkeypatch.setattr(fullsolve, "_steps", recording)
     state, nonl, _ = fullsolve.trajectory_source(spec, times, "etd")
     assert calls == [False, False, False, True, True][:fail_at]
+    assert set(shapes) == {(n // 2, n // 2) if name == "ac1" else (n, n)}
+    assert len(dense_steps) == len(times) - 1 - DENSE_FROM[fail_at - 1]
+    assert len(yielded) == len(times) and all(U is yielded[0] for U in yielded)
     # no node is stepped twice: F's rows are evaluated at most len(times) + 1 times
-    assert sum(len(rows) for _, rows in evals) <= (len(times) + 1) * FACTORED_N
+    assert sum(len(rows) for _, rows in evals) <= (len(times) + 1) * n
     for i in range(len(times)):
         assert isinstance(state.snapshot(i), kernels.SvdTriplet) == (0 < i < factored)
         assert isinstance(nonl.snapshot(i), kernels.SvdTriplet) == (i < factored)
@@ -544,13 +587,7 @@ def test_factored_reference_matches_dense_route(monkeypatch, name):
     spec = problems.build_problem(name, FACTORED_N)
     grid = fullsolve.TimeGrid(spec.t_final, 30)
     want = _dense_reference(spec, grid, "etd")
-    update, dense_steps = kernels.etd_euler_update, []
-
-    def counting(*args, **kwargs):
-        dense_steps.append(1)
-        return update(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "etd_euler_update", counting)
+    dense_steps = _count_dense_steps(monkeypatch)
     seen, yielded = [], []
     for i, t, U in fullsolve.iter_full(spec, grid, "etd"):
         assert np.isclose(t, grid.nodes[i])
@@ -562,18 +599,15 @@ def test_factored_reference_matches_dense_route(monkeypatch, name):
     assert not dense_steps                          # every step taken as factors
 
 
-# compressions in order: U0, F0, the first step (cold), F1 and the second step (warm)
-@pytest.mark.parametrize("fail_at", [1, 2, 3, 4, 5])
-def test_uncertified_compression_continues_the_reference_densely(monkeypatch, fail_at):
-    spec, times, (dstate, _, _) = _short_rdc_run()
+# compressions in order as for the snapshot run
+@UNCERTIFIED_CASES
+def test_uncertified_compression_continues_the_reference_densely(monkeypatch, name, fail_at):
+    spec, times, (dstate, _, _) = _short_run(name)
+    n = len(spec.U0)
     grid = fullsolve.TimeGrid(times[-1], len(times) - 1)
-    compress, calls = kernels.compress, []
-
-    def failing(M, start=None):
-        calls.append(start is not None)
-        return None if len(calls) == fail_at else compress(M, start)
-
-    monkeypatch.setattr(kernels, "compress", failing)
+    calls, shapes = _failing_compress(monkeypatch, fail_at)
+    evals = _record_f(monkeypatch)
+    dense_steps = _count_dense_steps(monkeypatch)
     seen, yielded = [], []
     for i, t, U in fullsolve.iter_full(spec, grid, "etd"):
         want = dstate.matrix(i)
@@ -581,12 +615,15 @@ def test_uncertified_compression_continues_the_reference_densely(monkeypatch, fa
         seen.append(i)
         yielded.append(U)
     assert calls == [False, False, False, True, True][:fail_at]
+    assert set(shapes) == {(n // 2, n // 2) if name == "ac1" else (n, n)}
+    assert len(dense_steps) == grid.n_t - DENSE_FROM[fail_at - 1]
+    assert sum(len(rows) for _, rows in evals) <= (len(times) + 1) * n
     assert seen == list(range(len(times)))
     assert all(U is yielded[0] for U in yielded)
 
 
 def test_factored_reference_evaluates_f_only_where_a_step_uses_it(monkeypatch):
-    spec, times, _ = _short_rdc_run()
+    spec, times, _ = _short_run()
     grid = fullsolve.TimeGrid(times[-1], len(times) - 1)
     compress, compressions = kernels.compress, []
 
@@ -647,13 +684,7 @@ def test_f_is_evaluated_once_per_node_that_uses_it(monkeypatch, n):
         calls.append((t, np.searchsorted(spec.grid_x, X.ravel())))
         return nonlinear(U, X, Y, t)
 
-    step, dense_steps = kernels.etd_euler_update, []
-
-    def counting_step(*args, **kwargs):
-        dense_steps.append(1)
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "etd_euler_update", counting_step)
+    dense_steps = _count_dense_steps(monkeypatch)
     spec = dataclasses.replace(spec, nonlinear=counting)
     grid = fullsolve.TimeGrid(spec.t_final, 12)
     assert [i for i, _, _ in fullsolve.iter_full(spec, grid, "etd")] == list(range(13))
@@ -684,11 +715,14 @@ def _compressed_shapes(mp):
 
 
 def _run_steps(spec, times, scheme, mirror=True):
-    """(U copied, factors, F) of every node of _steps, and the shapes it compressed."""
+    """(U copied, factors, F) of every node of _steps, and the shapes it compressed;
+    mirror=False takes the full-size route of a mirror-symmetric run."""
     with pytest.MonkeyPatch.context() as mp:
         shapes = _compressed_shapes(mp)
+        if not mirror:
+            mp.setattr(fullsolve, "_mirror", lambda spec: None)
         nodes = [(U.copy(), LR, F) for _, _, U, LR, F in
-                 fullsolve._steps(spec, times, times[1] - times[0], scheme, True, mirror)]
+                 fullsolve._steps(spec, times, times[1] - times[0], scheme, True)]
     return nodes, shapes
 
 
@@ -716,7 +750,8 @@ def test_mirrored_run_matches_the_full_route(scheme):
             assert np.array_equal(U[::-1], -U) and np.array_equal(U[:, ::-1], U)
             assert np.linalg.norm(LR[0] @ LR[1].T - U) <= 1e-13 * np.linalg.norm(U)
         # the lifted triplets are orthonormal and within their tail of the F evaluated
-        # there, allowing NEGLIGIBLE_REL sigma_1 for the rounding of the dense product
+        # there, allowing NEGLIGIBLE_REL sigma_1 for the rounding of the dense product,
+        # which the tail does not cover (kernels.compress's docstring)
         for X in (F.U, F.V):
             assert np.allclose(X.T @ X, np.eye(len(F.S)), atol=1e-12)
         want = problems.eval_nonlinear(spec, U, t)
@@ -738,28 +773,43 @@ def test_mirrored_reference_matches_the_full_route(monkeypatch):
         assert np.linalg.norm(U - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_mirrored_run_falls_back_where_f_breaks_parity():
-    # an x-dependent term from t1 on breaks F's parity at the first node after t1
+def test_mirrored_run_falls_back_where_f_breaks_parity(monkeypatch):
+    # an x-dependent term from t1 on breaks F's parity at the first node after t1, and
+    # the run goes on densely at full size from the state in U there.  Bound fixed
+    # before measuring: from node 5 on, states and F within 1e-13 relative of the
+    # full-size factored route.
     spec = problems.build_problem("ac1", MIRROR_N)
     times = pod.candidate_times(spec.t_final, 8)
-    f, t1 = spec.nonlinear, times[4]
+    h, f, t1 = times[1] - times[0], spec.nonlinear, times[4]
 
     def switched(U, X, Y, t):
         return f(U, X, Y, t) + (1e-3 * X if t > t1 else 0.0)
 
     spec = dataclasses.replace(spec, nonlinear=switched)
-    half, shapes = _run_steps(spec, times, "imex")
     full, _ = _run_steps(spec, times, "imex", mirror=False)
+    shapes = _compressed_shapes(monkeypatch)
+    half, yielded = [], []
+    for _, _, U, LR, F in fullsolve._steps(spec, times, h, "imex", f_at_last=True):
+        half.append((U.copy(), LR, F))
+        yielded.append(U)
     m = MIRROR_N // 2
-    # half size for U0 and F and the step at nodes 0-4, then the full-size run from U0
-    assert shapes[:11] == [(m, m)] * 11 and set(shapes[11:]) == {(MIRROR_N, MIRROR_N)}
-    assert len(half) == len(times)
-    for i, ((U, _, F), (Uf, _, Ff)) in enumerate(zip(half, full)):
-        if i <= 4:
-            assert np.linalg.norm(U - Uf) <= 1e-13 * np.linalg.norm(Uf)
-        else:
-            assert np.array_equal(U, Uf)
-            assert all(np.array_equal(a, b) for a, b in zip((F.U, F.S, F.V), (Ff.U, Ff.S, Ff.V)))
+    # half size for U0 and F and the step at nodes 0-4, then no compression
+    assert shapes == [(m, m)] * 11
+    assert len(half) == len(times) and all(U is yielded[0] for U in yielded)
+    for i, ((U, LR, F), (Uf, _, Ff)) in enumerate(zip(half, full)):
+        assert np.linalg.norm(U - Uf) <= 1e-13 * np.linalg.norm(Uf)
+        if i >= 5:
+            assert LR is None and isinstance(F, np.ndarray)
+            assert np.linalg.norm(F - Ff.dense()) <= 1e-13 * np.linalg.norm(F)
+    # nodes 6 and 7: dense steps by hand from node 5's state, through a fresh
+    # full-size propagator
+    prop, U = kernels.Propagator(spec.A, spec.B, "imex"), half[5][0].copy()
+    Uhat = prop.to_coords(U)
+    for i in (6, 7):
+        F = problems.eval_nonlinear(spec, U, times[i - 1])
+        assert np.array_equal(F, half[i - 1][2])
+        Uhat, U = kernels.etd_euler_update(prop, Uhat, F, h, out=U)
+        assert np.array_equal(U, half[i][0])
 
 
 def _off_parity(spec):

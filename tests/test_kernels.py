@@ -328,7 +328,7 @@ def test_eig_pair_dispatch():
 
 
 def test_separation_matches_the_outer_sum():
-    # real spectra take the sorted-neighbour route, complex ones the outer sum
+    # real and complex spectra, with repeated values and an exact cancellation
     rng = np.random.default_rng(97)
     for size_a, size_b in ((1, 1), (1, 9), (37, 50), (64, 20)):
         la, lb = rng.uniform(-3.0, 3.0, size_a), rng.uniform(-3.0, 3.0, size_b)
@@ -343,8 +343,7 @@ def test_separation_matches_the_outer_sum():
     assert np.iscomplexobj(prop.la)
     assert prop.separation == np.min(np.abs(prop.la[:, None] + prop.lb[None, :]))
     assert np.isclose(prop.separation, np.hypot(0.5, 2.0))
-    # complex on both sides: the neighbours of each -la_i in lb's (lexicographic) order
-    # are 0 and 2, not the -1 -+ 3i that give |(-0.9 +- 2.9i) + (-1 -+ 3i)| = |-1.9 -+ 0.1i|
+    # complex on both sides: the minimum is |(-0.9 +- 2.9i) + (-1 -+ 3i)| = |-1.9 -+ 0.1i|
     A = np.array([[-0.9, -2.9], [2.9, -0.9]])
     B = scipy.linalg.block_diag([[-1.0, -3.0], [3.0, -1.0]], [[2.0]], [[0.0]])
     prop = kernels.Propagator(A, B, "etd")
